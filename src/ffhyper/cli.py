@@ -89,15 +89,15 @@ def _maybe_cache(args, canon, compute):
     cdir = getattr(args, "cache_dir", None) or os.environ.get("FFHYPER_CACHE_DIR")
     if not cdir:
         return compute()
-    canon = dict(canon)
-    canon["version"] = __version__
-    canon["format"] = getattr(args, "format", "json")
+    canon = dict(canon, version=__version__, format=getattr(args, "format", "json"))
     key = hashlib.sha256(json.dumps(canon, sort_keys=True).encode()).hexdigest()
     path = os.path.join(cdir, key + ".json")
-    if os.path.exists(path):
+    try:
         with open(path, encoding="utf-8") as fh:
             entry = json.load(fh)
         return entry["exit"], entry["output"]
+    except (FileNotFoundError, ValueError, TypeError, KeyError):
+        pass  # a missing or undecodable entry is a miss and is rewritten below
     code, text = compute()
     os.makedirs(cdir, exist_ok=True)
     tmp = "%s.%d.tmp" % (path, os.getpid())
@@ -211,7 +211,8 @@ def cmd_clique(args):
     F = _parse_field(args.field)
     Y = _get_hypergraph(args, F)
     ftext = poly_to_text(Y.poly)
-    canon = {"command": "clique", "field": F.spec_string(), "poly": ftext}
+    canon = {"command": "clique", "field": F.spec_string(), "poly": ftext,
+             "node_budget": args.budget_tuples}
 
     def compute():
         omega, exact = omega_clique(Y, node_budget=args.budget_tuples)

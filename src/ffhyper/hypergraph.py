@@ -6,15 +6,16 @@ value is nonnegative).  Symmetry of f makes the edge predicate
 order-free.  For f = x1 + ... + xk this is the Paley graph/hypergraph.
 
 Counting kernels work on the full evaluation grid of f (q^k handles)
-with numpy, partitioned along the outermost tuple coordinate so that a
-worker count never changes the exact integer results.
+with numpy, partitioned so that a worker count never changes the exact
+integer results.
 
 The even-partial-octahedron count runs over labeled 2k-tuples of
 distinct vertices (u_1(0), u_1(1), ..., u_k(0), u_k(1)) and asks that an
 even number of the 2^k octahedron positions {u_1(e_1), ..., u_k(e_k)}
-be edges; quasi-randomness predicts q^(2k)/2 of them.  The character-sum
-route computes S = sum over all 2k-tuples of prod chi(f(positions)) in a
-factored O(q^(2k-1)) form and estimates the count as q^(2k)/2 + S/2.
+be edges; quasi-randomness predicts q^(2k)/2 of them.  One kernel folds
+the u_1 pair in O(q^(2k-1)) work: with the tilde character (edge parity)
+it gives the exact count, with the strict one the character sum S over
+all 2k-tuples of prod chi(f(positions)), estimating q^(2k)/2 + S/2.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .report import CountReport
 
 DEFAULT_TUPLE_BUDGET = 1 << 27
 DEFAULT_MEM_BUDGET = 1 << 26  # grid entries, at 8 bytes each
+SLAB_CELLS = 1 << 18  # rest-lattice cells the EPO fold holds at once
 
 
 class HypergraphView:
@@ -154,41 +156,64 @@ def _run_chunks(fn, chunks, workers):
         return list(ex.map(fn, chunks))
 
 
-def count_epo_direct(Y, budget=DEFAULT_TUPLE_BUDGET, workers=1):
-    """Exact count of even partial octahedra by full enumeration.
+def _fold(T, k, workers, finish):
+    """Sum of finish(lo, hi, inner) over slabs u_2(0) in [lo, hi) of the rest lattice.
 
-    Runs over all q^(2k) labeled tuples (masked to distinct entries),
-    with the first coordinate partitioned across workers.  The answer is
-    an exact integer, independent of the partitioning.
+    inner[r] = sum_x prod_eps T(x, r_eps) at r = (u_2(0), u_2(1), ..., u_k(0), u_k(1))
+    = (c0, c1, r') is sum_x A(x, c0, r') A(x, c1, r'), one Gram product per r'.
+    T lies in {-1, 0, 1}, so the float64 sums are exact integers.
+    """
+    if k < 2:
+        raise ArityMismatch("the octahedron fold needs k >= 2")
+    q = T.shape[0]
+    A = None
+    for eps in itertools.product((0, 1), repeat=k - 2):
+        axis_map = [0, 1] + [2 + 2 * i + eps[i] for i in range(k - 2)]
+        view = _axis_view(T, 2 * k - 2, axis_map)
+        A = view.astype(np.float64) if A is None else A * view
+    G = np.ascontiguousarray(A.reshape(q, q, -1).transpose(2, 0, 1))  # G[r', x, c]
+
+    def slab(bounds):
+        lo, hi = bounds
+        inner = np.matmul(G[:, :, lo:hi].transpose(0, 2, 1), G)  # inner[r', c0, c1]
+        inner = inner.transpose(1, 2, 0).reshape((hi - lo,) + (q,) * (2 * k - 3))
+        return finish(lo, hi, inner.astype(np.int64))
+
+    rows = max(1, min(SLAB_CELLS // q ** (2 * k - 3), -(-q // max(1, workers))))
+    slabs = [(lo, min(q, lo + rows)) for lo in range(0, q, rows)]
+    return sum(_run_chunks(slab, slabs, workers))
+
+
+def count_epo_direct(Y, budget=DEFAULT_TUPLE_BUDGET, workers=1):
+    """Exact count of even partial octahedra, folding the u_1 pair in q^(2k-1) cells.
+
+    With T the tilde character (+1 on edges), a tuple's parity sign is P_r(u_1(0)) P_r(u_1(1)),
+    P_r(x) = prod_eps T(x, r_eps).  If D_r sums P_r over the n = q-2(k-1) values outside
+    r, then (n^2 + D_r^2)/2 - n pairs (u_1(0), u_1(1)) have equal sign.
     """
     k, q = Y.k, Y.q
-    if q ** (2 * k) > budget:
-        raise BudgetExceeded("q^(2k) = %d exceeds the tuple budget" % q ** (2 * k))
-    E = Y.edge_grid().astype(np.uint8)
-    ndim = 2 * k
+    if q ** (2 * k - 1) > budget:
+        raise BudgetExceeded("q^(2k-1) = %d exceeds the tuple budget" % q ** (2 * k - 1))
+    T = Y.chi_grid("tilde")
+    n = q - 2 * (k - 1)
+    ndim = 2 * k - 2
 
-    def chunk_count(bounds):
-        lo, hi = bounds
-        par = None
-        for eps in itertools.product((0, 1), repeat=k):
-            axis_map = [2 * i + eps[i] for i in range(k)]
-            view = _axis_view(E, ndim, axis_map)
-            if axis_map[0] == 0:  # eps_1 = 0: slice the chunked axis
-                view = view[lo:hi]
-            par = view.copy() if par is None else par ^ view
-        dist = None
-        coords = []
-        for pos in range(ndim):
-            base = np.arange(lo, hi) if pos == 0 else np.arange(q)
-            coords.append(base.reshape((1,) * pos + (-1,) + (1,) * (ndim - 1 - pos)))
-        for i in range(ndim):
-            for j in range(i + 1, ndim):
-                neq = coords[i] != coords[j]
-                dist = neq if dist is None else dist & neq
-        return int(((par == 0) & dist).sum(dtype=np.int64))
+    def finish(lo, hi, inner):
+        coords = [_axis_view(np.arange(lo, hi) if p == 0 else np.arange(q), ndim, [p])
+                  for p in range(ndim)]
+        D = inner
+        for j in range(ndim):  # drop the terms x = r_j
+            P = 1
+            for eps in itertools.product((0, 1), repeat=k - 1):
+                P = P * T[(coords[j],) + tuple(coords[2 * i + eps[i]] for i in range(k - 1))]
+            D = D - P
+        distinct = np.ones(D.shape, dtype=bool)
+        for i, j in itertools.combinations(range(ndim), 2):
+            distinct &= coords[i] != coords[j]
+        d = D[distinct]
+        return (n * n * d.size + int((d * d).sum(dtype=np.int64))) // 2 - n * d.size
 
-    parts = _run_chunks(chunk_count, _worker_chunks(q, workers), workers)
-    observed = sum(parts)
+    observed = _fold(T, k, workers, finish)
     return CountReport(observed, Fraction(q ** (2 * k), 2))
 
 
@@ -196,9 +221,8 @@ def epo_charsum(Y, method="factored", workers=1, budget=DEFAULT_TUPLE_BUDGET):
     """The octahedron character sum S over all q^(2k) labeled tuples.
 
     S = sum over tuples of prod over the 2^k positions of chi(f(...)).
-    The factored form writes the sum over the first coordinate pair as
-    the square of an inner univariate character sum, at O(q^(2k-1))
-    cost; the naive form is the full lattice product for cross-checks.
+    The factored form is the sum of inner_r^2 from _fold, at O(q^(2k-1))
+    cost; the naive form is the full lattice product, the reference.
     Both are exact integers and agree.
     """
     k, q = Y.k, Y.q
@@ -216,26 +240,7 @@ def epo_charsum(Y, method="factored", workers=1, budget=DEFAULT_TUPLE_BUDGET):
         return int(prod.sum(dtype=np.int64))
     if method != "factored":
         raise ValueError("method must be 'factored' or 'naive'")
-    # rest lattice: (u_2(0), u_2(1), ..., u_k(0), u_k(1)); inner axis x = u_1(eps_1)
-    rest_ndim = 2 * (k - 1)
-
-    def chunk_sum(bounds):
-        lo, hi = bounds
-        prod = None
-        for eps in itertools.product((0, 1), repeat=k - 1):
-            # C axes: 0 -> x (kept in front), i -> rest axis 2(i-1)+eps_(i-1)
-            axis_map = [0] + [1 + 2 * i + eps[i] for i in range(k - 1)]
-            view = _axis_view(C, 1 + rest_ndim, axis_map)
-            if axis_map[1] == 1:  # first rest axis is chunked
-                view = view[:, lo:hi]
-            prod = view.astype(np.int64) if prod is None else prod * view
-        inner = prod.sum(axis=0)
-        return int((inner * inner).sum(dtype=np.int64))
-
-    if k == 1:
-        raise ArityMismatch("character sum needs k >= 2")
-    parts = _run_chunks(chunk_sum, _worker_chunks(q, workers), workers)
-    return sum(parts)
+    return _fold(C, k, workers, lambda lo, hi, inner: int((inner * inner).sum()))
 
 
 def count_epo_charsum(Y, workers=1, method="factored", budget=DEFAULT_TUPLE_BUDGET):
@@ -319,18 +324,17 @@ def count_labeled_induced(Y, pattern, budget=DEFAULT_TUPLE_BUDGET):
     return CountReport(observed, predicted)
 
 
+def _bitsets(grid):
+    """Bit j of out[t] is grid[t + (j,)], t the leading axes flattened in C order."""
+    packed = np.packbits(grid, axis=-1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little")
+            for row in packed.reshape(-1, packed.shape[-1])]
+
+
 def _msubsets_k2(Y, m, workers):
     """Clique-of-size-m count for graphs via vertex bitsets."""
     q = Y.q
-    eg = Y.edge_grid()
-    adj = []
-    for a in range(q):
-        row = 0
-        for b in range(q):
-            if b != a and eg[a, b]:
-                row |= 1 << b
-        adj.append(row)
-    above = [(~((1 << (v + 1)) - 1)) & ((1 << q) - 1) for v in range(q)]
+    above = _bitsets(np.triu(Y.edge_grid(), 1))  # neighbours w > v
 
     def rec(cand, depth):
         if depth == m:
@@ -343,18 +347,12 @@ def _msubsets_k2(Y, m, workers):
             if depth + 1 == m:
                 total += 1
             else:
-                total += rec(cand & adj[v] & above[v], depth + 1)
+                total += rec(cand & above[v], depth + 1)
         return total
 
-    def start_count(bounds):
+    def start_count(bounds):  # m >= k = 2
         lo, hi = bounds
-        total = 0
-        for v in range(lo, hi):
-            if m == 1:
-                total += 1
-            else:
-                total += rec(adj[v] & above[v], 1)
-        return total
+        return sum(rec(above[v], 1) for v in range(lo, hi))
 
     parts = _run_chunks(start_count, _worker_chunks(q, workers), workers)
     return sum(parts)
@@ -428,29 +426,20 @@ def omega_clique(Y, node_budget=10 ** 7):
     returns (omega, exact) where exact=False means the budget ran out
     and the value is only a lower bound.  Sets smaller than k are
     vacuously complete, so omega >= min(q, k-1) always.
+    Candidates are bitsets over ranks in that order; link[t] holds the
+    ranks completing the (k-1)-tuple t of ranks to an edge.
     """
     k, q = Y.k, Y.q
     eg = Y.edge_grid()
-    mask = _strictly_increasing_mask(q, k)
-    hits = eg & mask
-    score = [0] * q
-    for idx in zip(*np.nonzero(hits)):
-        for v in idx:
-            score[int(v)] += 1
-    order = sorted(range(q), key=lambda v: (-score[v], v))
-    rank = {v: i for i, v in enumerate(order)}
+    hits = eg & _strictly_increasing_mask(q, k)
+    score = sum(hits.sum(axis=tuple(j for j in range(k) if j != i)) for i in range(k))
+    order = sorted(range(q), key=lambda v: (-int(score[v]), v))
+    link = _bitsets(eg[np.ix_(*[order] * k)])
+    weights = [q ** (k - 2 - i) for i in range(k - 1)]
 
     best = min(q, k - 1)
     nodes = 0
     exact = True
-
-    def compatible(chosen, v):
-        if len(chosen) < k - 1:
-            return True
-        for sub in itertools.combinations(chosen, k - 1):
-            if not eg[tuple(sorted(sub + (v,)))]:
-                return False
-        return True
 
     def rec(chosen, cands):
         nonlocal best, nodes, exact
@@ -460,16 +449,20 @@ def omega_clique(Y, node_budget=10 ** 7):
             return
         if len(chosen) > best:
             best = len(chosen)
-        if len(chosen) + len(cands) <= best:
+        if len(chosen) + cands.bit_count() <= best:
             return
-        for i, v in enumerate(cands):
-            if len(chosen) + (len(cands) - i) <= best:
+        rest = cands
+        while rest:
+            if len(chosen) + rest.bit_count() <= best:
                 return
-            if compatible(chosen, v):
-                nxt = [w for w in cands[i + 1:] if compatible(chosen + (v,), w)]
-                rec(chosen + (v,), nxt)
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            nxt = rest
+            for sub in itertools.combinations(chosen, k - 2):
+                nxt &= link[sum(w * t for w, t in zip(weights, sub + (v,)))]
+            rec(chosen + (v,), nxt)
             if not exact:
                 return
 
-    rec(tuple(), order)
+    rec(tuple(), (1 << q) - 1)
     return best, exact

@@ -6,9 +6,18 @@ party clique search.  The counts are isomorphism invariants of the
 abstract field, so they are comparable against the package without
 sharing any code with it.  Run as a script to print the fixture
 tables; the frozen copies live in ffhyper.verify.
+
+The last section is different: it keeps earlier package kernels that
+faster ones replaced, as references for property tests.  The clique
+search is verbatim apart from its name; the dense EPO count takes its
+worker chunk as arguments.  Both take a package HypergraphView and read
+its edge grid.
 """
 
+import itertools
 from itertools import combinations, permutations, product
+
+import numpy as np
 
 # Hardcoded irreducible moduli for the extension sizes the fixtures
 # need; coefficient lists are little-endian, leading coefficient 1.
@@ -183,6 +192,107 @@ def shifted_square_sums(q):
     for c in range(1, q):
         out[c] = sum(F.chi(F.add(F.mul(x, x), c)) for x in range(q))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Retired package kernels, kept as references
+# ---------------------------------------------------------------------------
+
+def _axis_view(arr, lattice_ndim, axis_map):
+    shape = [1] * lattice_ndim
+    for src, dst in enumerate(axis_map):
+        shape[dst] = arr.shape[src]
+    return arr.reshape(shape)
+
+
+def _strictly_increasing_mask(q, k):
+    m = np.ones((q,) * k, dtype=bool)
+    ax = [np.arange(q).reshape((1,) * i + (q,) + (1,) * (k - 1 - i)) for i in range(k)]
+    for i in range(k - 1):
+        m &= ax[i] < ax[i + 1]
+    return m
+
+
+def dense_epo_count(Y, lo=0, hi=None):
+    """Even partial octahedra by enumerating the q^(2k) lattice in numpy.
+
+    lo and hi restrict the first coordinate, as one worker chunk did.
+    """
+    k, q = Y.k, Y.q
+    hi = q if hi is None else hi
+    E = Y.edge_grid().astype(np.uint8)
+    ndim = 2 * k
+    par = None
+    for eps in itertools.product((0, 1), repeat=k):
+        axis_map = [2 * i + eps[i] for i in range(k)]
+        view = _axis_view(E, ndim, axis_map)
+        if axis_map[0] == 0:  # eps_1 = 0: slice the chunked axis
+            view = view[lo:hi]
+        par = view.copy() if par is None else par ^ view
+    dist = None
+    coords = []
+    for pos in range(ndim):
+        base = np.arange(lo, hi) if pos == 0 else np.arange(q)
+        coords.append(base.reshape((1,) * pos + (-1,) + (1,) * (ndim - 1 - pos)))
+    for i in range(ndim):
+        for j in range(i + 1, ndim):
+            neq = coords[i] != coords[j]
+            dist = neq if dist is None else dist & neq
+    return int(((par == 0) & dist).sum(dtype=np.int64))
+
+
+def omega_clique_lists(Y, node_budget=10 ** 7):
+    """Largest vertex set all of whose k-subsets are edges.
+
+    Branch and bound over vertices in descending degree-score order;
+    returns (omega, exact) where exact=False means the budget ran out
+    and the value is only a lower bound.  Sets smaller than k are
+    vacuously complete, so omega >= min(q, k-1) always.
+    """
+    k, q = Y.k, Y.q
+    eg = Y.edge_grid()
+    mask = _strictly_increasing_mask(q, k)
+    hits = eg & mask
+    score = [0] * q
+    for idx in zip(*np.nonzero(hits)):
+        for v in idx:
+            score[int(v)] += 1
+    order = sorted(range(q), key=lambda v: (-score[v], v))
+    rank = {v: i for i, v in enumerate(order)}
+
+    best = min(q, k - 1)
+    nodes = 0
+    exact = True
+
+    def compatible(chosen, v):
+        if len(chosen) < k - 1:
+            return True
+        for sub in itertools.combinations(chosen, k - 1):
+            if not eg[tuple(sorted(sub + (v,)))]:
+                return False
+        return True
+
+    def rec(chosen, cands):
+        nonlocal best, nodes, exact
+        nodes += 1
+        if nodes > node_budget:
+            exact = False
+            return
+        if len(chosen) > best:
+            best = len(chosen)
+        if len(chosen) + len(cands) <= best:
+            return
+        for i, v in enumerate(cands):
+            if len(chosen) + (len(cands) - i) <= best:
+                return
+            if compatible(chosen, v):
+                nxt = [w for w in cands[i + 1:] if compatible(chosen + (v,), w)]
+                rec(chosen + (v,), nxt)
+            if not exact:
+                return
+
+    rec(tuple(), order)
+    return best, exact
 
 
 def main():

@@ -43,6 +43,15 @@ def test_epo_both_methods_agree(capsys):
     assert d["agreement"]["pass"] is True
 
 
+def test_epo_both_methods_run_past_the_dense_lattice_limit(capsys):
+    # q^4 = 260 M cells would exceed the default tuple budget; the fold
+    # needs q^3 = 2 M
+    code, out, _ = run(
+        ["epo", "--field", "127", "--poly", "x1*x2+1", "--method", "both"], capsys)
+    assert code == 0
+    assert json.loads(out)["agreement"]["pass"] is True
+
+
 def test_epo_csv_header(capsys):
     code, out, _ = run(
         ["epo", "--field", "13", "--poly", "x1*x2+1", "--format", "csv"], capsys)
@@ -196,6 +205,39 @@ def test_cache_key_sees_through_poly_spelling(tmp_path, capsys):
          "--cache-dir", str(cache)], capsys)
     assert out1 == out2
     assert sorted(p.name for p in cache.iterdir()) == entries
+
+
+def test_clique_cache_key_includes_the_node_budget(tmp_path, capsys):
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    args = ["clique", "--field", "13", "--poly", "x1*x2+1"]
+    code, out, _ = run(args + ["--budget-tuples", "3"] + cache, capsys)
+    assert code == 0 and json.loads(out)["exact"] is False
+    code, out, _ = run(args + cache, capsys)
+    d = json.loads(out)
+    assert code == 0 and (d["omega"], d["exact"]) == (5, True)
+
+
+def _corrupt_then_rerun(tmp_path, capsys, damage):
+    cache = tmp_path / "cache"
+    args = ["epo", "--field", "13", "--poly", "x1*x2+1", "--cache-dir", str(cache)]
+    first = run(args, capsys)
+    (entry,) = cache.iterdir()
+    damage(entry)
+    assert run(args, capsys) == first
+    assert json.loads(entry.read_text())["output"] == first[1]
+
+
+def test_truncated_cache_entry_is_a_miss_and_is_rewritten(tmp_path, capsys):
+    _corrupt_then_rerun(tmp_path, capsys,
+                        lambda p: p.write_text(p.read_text()[:20]))
+
+
+def test_cache_entry_without_exit_is_a_miss_and_is_rewritten(tmp_path, capsys):
+    def drop_exit(p):
+        entry = json.loads(p.read_text())
+        del entry["exit"]
+        p.write_text(json.dumps(entry))
+    _corrupt_then_rerun(tmp_path, capsys, drop_exit)
 
 
 def test_cache_env_variable(tmp_path, capsys, monkeypatch):

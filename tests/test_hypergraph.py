@@ -3,7 +3,11 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
+import oracles
+from ffhyper.admissible import random_symmetric_poly
 from ffhyper.errors import BudgetExceeded, NotSymmetric
 from ffhyper.field import Field
 from ffhyper.hypergraph import (
@@ -31,18 +35,34 @@ def prod_graph(F, k=2):
     return build_hypergraph(F, parse_poly(F, k, names + "+1"))
 
 
+def random_graph(q, k, d, seed):
+    F = Field.from_order(q)
+    return build_hypergraph(F, random_symmetric_poly(F, k, d, seed=seed))
+
+
+# Property tests draw a random symmetric f of degree 1..3 over F_q and
+# compare a kernel against an oracle; derandomized so every run checks
+# the same examples.  No shrinking: a failing draw (q, d, seed) is
+# already readable, and shrinking reruns the slow oracles many times.
+PROPERTY = settings(deadline=None, derandomize=True, database=None,
+                    phases=(Phase.explicit, Phase.generate))
+DEGREES = st.integers(1, 3)
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
 # ---------------------------------------------------------------------------
 # Pure-python reference counts
 # ---------------------------------------------------------------------------
 
 def brute_epo(Y):
     k, q = Y.k, Y.q
+    edge_sets = {c for c in itertools.combinations(range(q), k) if Y.is_edge(c)}
     count = 0
     for tup in itertools.permutations(range(q), 2 * k):
         edges = 0
         for eps in itertools.product((0, 1), repeat=k):
-            pick = tuple(tup[2 * i + eps[i]] for i in range(k))
-            if Y.is_edge(pick):
+            pick = tuple(sorted(tup[2 * i + eps[i]] for i in range(k)))
+            if pick in edge_sets:
                 edges += 1
         if edges % 2 == 0:
             count += 1
@@ -166,6 +186,43 @@ def test_epo_budget_guard():
     Y = prod_graph(F7)
     with pytest.raises(BudgetExceeded):
         count_epo_direct(Y, budget=100)
+    # the fold is charged q^(2k-1) cells, not q^(2k)
+    assert count_epo_direct(Y, budget=7 ** 3).observed == brute_epo(Y)
+    with pytest.raises(BudgetExceeded):
+        count_epo_direct(Y, budget=7 ** 3 - 1)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(q=st.sampled_from((3, 5, 7, 9)), d=DEGREES, seed=SEEDS, workers=st.sampled_from((1, 2)))
+def test_epo_fold_matches_brute_force_pairs(q, d, seed, workers):
+    Y = random_graph(q, 2, d, seed)
+    assert count_epo_direct(Y, workers=workers).observed == brute_epo(Y)
+
+
+@settings(PROPERTY, max_examples=6)
+@given(q=st.sampled_from((7, 9)), d=DEGREES, seed=SEEDS, workers=st.sampled_from((1, 2)))
+def test_epo_fold_matches_brute_force_triples(q, d, seed, workers):
+    Y = random_graph(q, 3, d, seed)
+    assert count_epo_direct(Y, workers=workers).observed == brute_epo(Y)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(kq=st.sampled_from([(2, q) for q in (11, 13, 17, 25, 27, 31)]
+                          + [(3, q) for q in (5, 9, 11, 13)] + [(4, q) for q in (3, 5, 7)]),
+       d=DEGREES, seed=SEEDS, workers=st.sampled_from((1, 2, 3)))
+def test_epo_fold_matches_the_dense_lattice(kq, d, seed, workers):
+    k, q = kq
+    Y = random_graph(q, k, d, seed)
+    assert count_epo_direct(Y, workers=workers).observed == oracles.dense_epo_count(Y)
+
+
+@settings(PROPERTY, max_examples=30)
+@given(kq=st.sampled_from([(2, q) for q in (3, 5, 7, 9, 11, 13)] + [(3, q) for q in (5, 7, 9)]),
+       d=DEGREES, seed=SEEDS, workers=st.sampled_from((1, 2)))
+def test_epo_charsum_fold_matches_naive(kq, d, seed, workers):
+    k, q = kq
+    Y = random_graph(q, k, d, seed)
+    assert epo_charsum(Y, workers=workers) == epo_charsum(Y, method="naive")
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +318,18 @@ def test_omega_triples():
             best = m
     omega, exact = omega_clique(Y)
     assert exact and omega == best
+
+
+@settings(PROPERTY, max_examples=40)
+@given(kq=st.sampled_from([(2, q) for q in (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31)]
+                          + [(3, q) for q in (3, 5, 7, 9, 11)]),
+       d=DEGREES, seed=SEEDS, budget=st.one_of(st.integers(1, 64), st.none()))
+def test_omega_bitsets_match_the_list_search(kq, d, seed, budget):
+    # same (omega, exact) for every node budget, the binding ones included
+    k, q = kq
+    Y = random_graph(q, k, d, seed)
+    args = () if budget is None else (budget,)
+    assert omega_clique(Y, *args) == oracles.omega_clique_lists(Y, *args)
 
 
 def test_omega_budget_gives_a_lower_bound():
