@@ -348,14 +348,21 @@ class ErrorEnvelope:
 
 
 def predict_envelope(q, m, k, d):
-    """Main term q^m/(m! 2^C(m,k)) with the (2d)-power error bound."""
+    """Main term q^m/(m! 2^C(m,k)) with the (2d)-power error bound.
+
+    An error term beyond the float range is math.inf, still an upper bound.
+    """
     if not 2 <= k <= m:
         raise ArityMismatch("need m >= k >= 2")
     if d < 1:
         raise ValueError("degree must be positive")
     c = comb(m, k)
     main = Fraction(q ** m, factorial(m) * 2 ** c)
-    err = (2 * d) ** (2 * c) * math.sqrt(q ** (2 * m - 1)) + (2 * d) ** (13 * c / 3) * q ** (m - 1)
+    try:
+        err = ((2 * d) ** (2 * c) * math.sqrt(q ** (2 * m - 1))
+               + (2 * d) ** (13 * c / 3) * q ** (m - 1))
+    except OverflowError:
+        err = math.inf
     return ErrorEnvelope(main, math.nextafter(err, math.inf))
 
 

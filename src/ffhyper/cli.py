@@ -67,12 +67,8 @@ def _get_poly(args, F, nvars=None):
 
 def _get_hypergraph(args, F):
     if args.paley:
-        k = args.k or 2
-        Y = paley(F, k)
-    else:
-        f = _get_poly(args, F)
-        Y = build_hypergraph(F, f, mem_budget=args.budget_mem)
-    return Y
+        return paley(F, args.k or 2)
+    return build_hypergraph(F, _get_poly(args, F), mem_budget=args.budget_mem)
 
 
 def _json_text(obj):
@@ -108,38 +104,32 @@ def _maybe_cache(args, canon, compute):
 
 
 # ---------------------------------------------------------------------------
-# Command handlers.  Each returns (exit_code, output_text).
+# Command handlers.  Each returns (exit_code, output_text).  A handler's
+# canon dict is both its cache key and the head of its JSON output.
 # ---------------------------------------------------------------------------
+
+def _head(args, F, **inputs):
+    return {"command": args.command, "field": F.spec_string(), **inputs}
+
 
 def cmd_admissible(args):
     F = _parse_field(args.field)
     f = _get_poly(args, F)
-    canon = {"command": "admissible", "field": F.spec_string(), "poly": poly_to_text(f)}
-
-    def compute():
-        verdict = is_admissible(f)
-        out = {"command": "admissible", "field": F.spec_string(),
-               "poly": poly_to_text(f)}
-        out.update(verdict.to_json())
-        return 0, _json_text(out)
-
-    return _maybe_cache(args, canon, compute)
+    canon = _head(args, F, poly=poly_to_text(f))
+    return _maybe_cache(args, canon, lambda: (
+        0, _json_text({**canon, **is_admissible(f).to_json()})))
 
 
 def cmd_epo(args):
     F = _parse_field(args.field)
     Y = _get_hypergraph(args, F)
-    ftext = poly_to_text(Y.poly)
-    canon = {"command": "epo", "field": F.spec_string(), "poly": ftext,
-             "method": args.method}
+    canon = _head(args, F, poly=poly_to_text(Y.poly), method=args.method)
 
     def compute():
         q, k, d = F.q, Y.k, Y.poly.total_degree
         code = 0
-        out = {"command": "epo", "field": F.spec_string(), "poly": ftext,
-               "k": k, "d": d, "method": args.method}
+        out = {**canon, "k": k, "d": d}
         rows = []
-        direct = charsum = None
         if args.method in ("direct", "both"):
             direct = count_epo_direct(Y, workers=args.workers, budget=args.budget_tuples)
             out["direct"] = direct.to_json()
@@ -150,20 +140,17 @@ def cmd_epo(args):
             charsum = count_epo_charsum(Y, workers=args.workers,
                                         budget=args.budget_tuples)
             out["charsum"] = {
-                "S": str(charsum["S"]),
-                "estimate": _frac_str(charsum["estimate"]),
-                "predicted_main": _frac_str(charsum["predicted_main"]),
-                "deviation": _frac_str(charsum["deviation"]),
+                "S": str(2 * charsum.deviation),
+                "estimate": _frac_str(charsum.observed),
+                "predicted_main": _frac_str(charsum.predicted_main),
+                "deviation": _frac_str(charsum.deviation),
             }
-            rel = float(charsum["deviation"] / charsum["predicted_main"])
-            rows.append([q, k, d, "charsum", _frac_str(charsum["estimate"]),
-                         _frac_str(charsum["predicted_main"]),
-                         _frac_str(charsum["deviation"]), repr(rel)])
+            rows.append([q, k, d, "charsum", _frac_str(charsum.observed),
+                         _frac_str(charsum.predicted_main),
+                         _frac_str(charsum.deviation), repr(charsum.relative_deviation)])
         if args.method == "both":
-            diff = abs(Fraction(direct.observed) - charsum["estimate"])
-            bound = None
-            if k in (2, 3):
-                bound = (8 if k == 2 else 40) * q ** (2 * k - 1)
+            diff = abs(direct.observed - charsum.observed)
+            bound = (8 if k == 2 else 40) * q ** (2 * k - 1) if k in (2, 3) else None
             agree = bound is None or diff <= bound
             out["agreement"] = {"difference": _frac_str(diff),
                                 "bound": bound, "pass": agree}
@@ -183,9 +170,7 @@ def cmd_tuples(args):
     Y = _get_hypergraph(args, F)
     if args.m is None or args.m < Y.k:
         raise ParseError("--m must be provided and at least the uniformity k")
-    ftext = poly_to_text(Y.poly)
-    canon = {"command": "tuples", "field": F.spec_string(), "poly": ftext,
-             "m": args.m}
+    canon = _head(args, F, poly=poly_to_text(Y.poly), m=args.m)
 
     def compute():
         rep = count_m_subsets(Y, args.m, workers=args.workers,
@@ -199,10 +184,7 @@ def cmd_tuples(args):
                    repr(rep.relative_deviation), repr(rep.envelope),
                    rep.within_envelope]
             return code, _csv_text("tuples", "", header, [row])
-        out = {"command": "tuples", "field": F.spec_string(), "poly": ftext,
-               "k": Y.k, "m": args.m}
-        out.update(rep.to_json())
-        return code, _json_text(out)
+        return code, _json_text({**canon, "k": Y.k, **rep.to_json()})
 
     return _maybe_cache(args, canon, compute)
 
@@ -210,33 +192,26 @@ def cmd_tuples(args):
 def cmd_clique(args):
     F = _parse_field(args.field)
     Y = _get_hypergraph(args, F)
-    ftext = poly_to_text(Y.poly)
-    canon = {"command": "clique", "field": F.spec_string(), "poly": ftext,
-             "node_budget": args.budget_tuples}
+    head = _head(args, F, poly=poly_to_text(Y.poly))
 
     def compute():
         omega, exact = omega_clique(Y, node_budget=args.budget_tuples)
-        out = {"command": "clique", "field": F.spec_string(), "poly": ftext,
-               "k": Y.k, "omega": omega, "exact": exact}
-        return 0, _json_text(out)
+        return 0, _json_text({**head, "k": Y.k, "omega": omega, "exact": exact})
 
-    return _maybe_cache(args, canon, compute)
+    # the node budget can change the result, so it keys the cache; it is not printed
+    return _maybe_cache(args, {**head, "node_budget": args.budget_tuples}, compute)
 
 
 def cmd_weil(args):
     F = _parse_field(args.field)
     g = UniPoly.from_multi(_get_poly(args, F, nvars=1))
-    a = args.s if args.s is not None else 1
-    canon = {"command": "weil", "field": F.spec_string(),
-             "poly": poly_to_text(g.to_multi()), "a": a}
+    canon = _head(args, F, poly=poly_to_text(g.to_multi()),
+                  a=args.s if args.s is not None else 1)
 
     def compute():
-        w = weil_check(F, g, a)
-        out = {"command": "weil", "field": F.spec_string(),
-               "poly": poly_to_text(g.to_multi()), "a": a}
-        out.update(w.to_json())
+        w = weil_check(F, g, canon["a"])
         code = 1 if w.applicable and not w.holds else 0
-        return code, _json_text(out)
+        return code, _json_text({**canon, **w.to_json()})
 
     return _maybe_cache(args, canon, compute)
 
@@ -244,14 +219,13 @@ def cmd_weil(args):
 def cmd_xset(args):
     F = _parse_field(args.field)
     f = _get_poly(args, F)
-    canon = {"command": "xset", "field": F.spec_string(), "poly": poly_to_text(f)}
+    canon = _head(args, F, poly=poly_to_text(f))
 
     def compute():
         X = enumerate_X(F, f)
-        out = {"command": "xset", "field": F.spec_string(), "poly": poly_to_text(f)}
-        out.update(X.to_json())
-        out["members"] = [list(u) for u in X.members]
-        out["constant_members"] = [list(u) for u in X.constant_members]
+        out = {**canon, **X.to_json(),
+               "members": [list(u) for u in X.members],
+               "constant_members": [list(u) for u in X.constant_members]}
         return (0 if X.holds else 1), _json_text(out)
 
     return _maybe_cache(args, canon, compute)
@@ -260,13 +234,12 @@ def cmd_xset(args):
 def cmd_bset(args):
     F = _parse_field(args.field)
     f = _get_poly(args, F)
-    canon = {"command": "bset", "field": F.spec_string(), "poly": poly_to_text(f)}
+    canon = _head(args, F, poly=poly_to_text(f))
 
     def compute():
         B = enumerate_B(F, f, budget=args.budget_tuples)
         bound = b_set_bound(F.q, f.nvars, f.total_degree)
-        out = {"command": "bset", "field": F.spec_string(), "poly": poly_to_text(f),
-               "k": f.nvars, "d": f.total_degree, "size": len(B),
+        out = {**canon, "k": f.nvars, "d": f.total_degree, "size": len(B),
                "empirical_bound": bound, "holds": len(B) <= bound,
                "members": [list(t) for t in sorted(B)]}
         return (0 if len(B) <= bound else 1), _json_text(out)
@@ -285,16 +258,12 @@ def cmd_slavov(args):
     if m < 1:
         raise ParseError("cannot infer the variable count; pass --m")
     family = [parse_poly(F, m, t) for t in texts]
-    canon = {"command": "slavov", "field": F.spec_string(), "m": m,
-             "family": [poly_to_text(g) for g in family]}
+    canon = _head(args, F, m=m, family=[poly_to_text(g) for g in family])
 
     def compute():
         rep = slavov_count(F, family, check_condition=True, budget=args.budget_tuples)
-        out = {"command": "slavov", "field": F.spec_string(), "m": m,
-               "family": [poly_to_text(g) for g in family]}
-        out.update(rep.to_json())
         code = 0 if rep.notes["condition_ok"] else 1
-        return code, _json_text(out)
+        return code, _json_text({**canon, **rep.to_json()})
 
     return _maybe_cache(args, canon, compute)
 
@@ -339,8 +308,6 @@ def scan_text(fields, samples, k, d, m, seed, workers):
 
 
 def cmd_scan(args):
-    if args.field is None:
-        raise ParseError("--field is required: a comma-separated q list")
     try:
         fields = tuple(int(t) for t in args.field.split(",") if t.strip())
     except ValueError:
@@ -367,20 +334,43 @@ def cmd_verify(args):
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing and dispatch.
+# Argument parsing and dispatch.  Each flag is declared once in FLAGS; each
+# subcommand takes the flags its handler reads, plus --out and --cache-dir
+# (a no-op for verify, which is never cached).  Any other flag exits 2.
 # ---------------------------------------------------------------------------
 
-HANDLERS = {
-    "admissible": cmd_admissible,
-    "epo": cmd_epo,
-    "tuples": cmd_tuples,
-    "clique": cmd_clique,
-    "weil": cmd_weil,
-    "xset": cmd_xset,
-    "bset": cmd_bset,
-    "slavov": cmd_slavov,
-    "scan": cmd_scan,
-    "verify": cmd_verify,
+FLAGS = {
+    "field": dict(help="field size q or p^n spec; for scan a comma-separated q list"),
+    "poly": dict(help="polynomial text in x1..xk; for slavov a ';'-separated family"),
+    "k": dict(type=int, help="uniformity / variable count"),
+    "m": dict(type=int, help="tuple or family arity"),
+    "s": dict(type=int, help="scalar multiplier"),
+    "d": dict(type=int, help="polynomial degree"),
+    "seed": dict(type=int, default=0),
+    "samples": dict(type=int, default=50, help="random polynomials per field"),
+    "workers": dict(type=int, default=1),
+    "budget-tuples": dict(type=int, default=DEFAULT_TUPLE_BUDGET),
+    "budget-mem": dict(type=int, default=DEFAULT_MEM_BUDGET),
+    "method": dict(choices=("direct", "charsum", "both"), default="direct"),
+    "paley": dict(action="store_true", help="use the sum polynomial x1+...+xk"),
+    "only": dict(help="run only the checks whose name contains this text"),
+    "format": dict(choices=("json", "csv"), default="json"),
+    "out": dict(help="write output to a file instead of stdout"),
+    "cache-dir": dict(help="result cache directory"),
+}
+
+GRAPH = "field poly k paley budget-tuples budget-mem"
+COMMANDS = {
+    "admissible": (cmd_admissible, "field poly k"),
+    "epo": (cmd_epo, GRAPH + " method workers format"),
+    "tuples": (cmd_tuples, GRAPH + " m workers format"),
+    "clique": (cmd_clique, GRAPH),
+    "weil": (cmd_weil, "field poly s"),
+    "xset": (cmd_xset, "field poly k"),
+    "bset": (cmd_bset, "field poly k budget-tuples"),
+    "slavov": (cmd_slavov, "field poly m budget-tuples"),
+    "scan": (cmd_scan, "field k d m seed samples workers format"),
+    "verify": (cmd_verify, "only workers"),
 }
 
 
@@ -389,38 +379,20 @@ def build_parser():
         prog="ffhyper",
         description="Hypergraphs from symmetric polynomials over odd finite fields.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in HANDLERS:
+    for name, (_, flags) in COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--field", help="field size q or p^n spec")
-        sp.add_argument("--poly", help="polynomial text in x1..xk")
-        sp.add_argument("--k", type=int, help="uniformity / variable count")
-        sp.add_argument("--m", type=int, help="tuple or family arity")
-        sp.add_argument("--s", type=int, help="scalar multiplier handle (weil)")
-        sp.add_argument("--d", type=int, help="polynomial degree (scan)")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--workers", type=int, default=1)
-        sp.add_argument("--budget-tuples", type=int, default=DEFAULT_TUPLE_BUDGET)
-        sp.add_argument("--budget-mem", type=int, default=DEFAULT_MEM_BUDGET)
-        sp.add_argument("--format", choices=("json", "csv"),
-                        default="csv" if name == "scan" else "json")
-        sp.add_argument("--out", help="write output to a file instead of stdout")
-        sp.add_argument("--cache-dir", help="result cache directory")
-        sp.add_argument("--method", choices=("direct", "charsum", "both"),
-                        default="direct")
-        sp.add_argument("--paley", action="store_true",
-                        help="use the sum polynomial x1+...+xk")
-        sp.add_argument("--only", help="filter verify checks by substring")
-        sp.add_argument("--samples", type=int, default=50,
-                        help="random polynomials per field (scan)")
+        for flag in flags.split() + ["out", "cache-dir"]:
+            sp.add_argument("--" + flag, **FLAGS[flag])
+    sub.choices["scan"].set_defaults(format="csv")
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.field is None and args.command not in ("verify",):
+        if args.command != "verify" and args.field is None:
             raise ParseError("--field is required")
-        code, text = HANDLERS[args.command](args)
+        code, text = COMMANDS[args.command][0](args)
     except ParseError as exc:
         print("ffhyper: %s" % exc, file=sys.stderr)
         return 2

@@ -35,11 +35,10 @@ from .errors import (
     NotSymmetric,
     ZeroPolynomial,
 )
-from .poly import MultiPoly
+from .poly import DEFAULT_MEM_BUDGET, MultiPoly
 from .report import CountReport
 
 DEFAULT_TUPLE_BUDGET = 1 << 27
-DEFAULT_MEM_BUDGET = 1 << 26  # grid entries, at 8 bytes each
 SLAB_CELLS = 1 << 18  # rest-lattice cells the EPO fold holds at once
 
 
@@ -61,10 +60,7 @@ class HypergraphView:
     def value_grid(self):
         """Handles of f on F^k; cached. Axis i is variable i."""
         if self._grid is None:
-            if self.q ** self.k > self.mem_budget:
-                raise BudgetExceeded(
-                    "value grid q^k = %d exceeds the memory budget" % self.q ** self.k)
-            self._grid = self.poly.eval_grid()
+            self._grid = self.poly.eval_grid(self.mem_budget)
         return self._grid
 
     def edge_grid(self):
@@ -156,16 +152,19 @@ def _run_chunks(fn, chunks, workers):
         return list(ex.map(fn, chunks))
 
 
-def _fold(T, k, workers, finish):
+def _fold(T, k, workers, budget, finish):
     """Sum of finish(lo, hi, inner) over slabs u_2(0) in [lo, hi) of the rest lattice.
 
     inner[r] = sum_x prod_eps T(x, r_eps) at r = (u_2(0), u_2(1), ..., u_k(0), u_k(1))
     = (c0, c1, r') is sum_x A(x, c0, r') A(x, c1, r'), one Gram product per r'.
-    T lies in {-1, 0, 1}, so the float64 sums are exact integers.
+    T lies in {-1, 0, 1}, so the float64 sums are exact integers.  The
+    q^(2k-1) cells (x, r) are charged to the tuple budget.
     """
     if k < 2:
         raise ArityMismatch("the octahedron fold needs k >= 2")
     q = T.shape[0]
+    if q ** (2 * k - 1) > budget:
+        raise BudgetExceeded("q^(2k-1) = %d exceeds the tuple budget" % q ** (2 * k - 1))
     A = None
     for eps in itertools.product((0, 1), repeat=k - 2):
         axis_map = [0, 1] + [2 + 2 * i + eps[i] for i in range(k - 2)]
@@ -192,8 +191,6 @@ def count_epo_direct(Y, budget=DEFAULT_TUPLE_BUDGET, workers=1):
     r, then (n^2 + D_r^2)/2 - n pairs (u_1(0), u_1(1)) have equal sign.
     """
     k, q = Y.k, Y.q
-    if q ** (2 * k - 1) > budget:
-        raise BudgetExceeded("q^(2k-1) = %d exceeds the tuple budget" % q ** (2 * k - 1))
     T = Y.chi_grid("tilde")
     n = q - 2 * (k - 1)
     ndim = 2 * k - 2
@@ -213,7 +210,7 @@ def count_epo_direct(Y, budget=DEFAULT_TUPLE_BUDGET, workers=1):
         d = D[distinct]
         return (n * n * d.size + int((d * d).sum(dtype=np.int64))) // 2 - n * d.size
 
-    observed = _fold(T, k, workers, finish)
+    observed = _fold(T, k, workers, budget, finish)
     return CountReport(observed, Fraction(q ** (2 * k), 2))
 
 
@@ -240,26 +237,20 @@ def epo_charsum(Y, method="factored", workers=1, budget=DEFAULT_TUPLE_BUDGET):
         return int(prod.sum(dtype=np.int64))
     if method != "factored":
         raise ValueError("method must be 'factored' or 'naive'")
-    return _fold(C, k, workers, lambda lo, hi, inner: int((inner * inner).sum()))
+    return _fold(C, k, workers, budget, lambda lo, hi, inner: int((inner * inner).sum()))
 
 
 def count_epo_charsum(Y, workers=1, method="factored", budget=DEFAULT_TUPLE_BUDGET):
     """CountReport whose observed value is the character-sum estimate.
 
-    estimate = q^(2k)/2 + S/2, reported exactly as a rational alongside
-    the predicted main term q^(2k)/2.  The estimate differs from the
-    enumerated count by bounded boundary terms (zero values of f and
-    repeated coordinates), not by more.
+    estimate = q^(2k)/2 + S/2, an exact rational, against the predicted
+    main term q^(2k)/2, so the deviation is S/2.  The estimate differs
+    from the enumerated count by bounded boundary terms (zero values of
+    f and repeated coordinates), not by more.
     """
-    k, q = Y.k, Y.q
+    main = Fraction(Y.q ** (2 * Y.k), 2)
     S = epo_charsum(Y, method=method, workers=workers, budget=budget)
-    estimate = Fraction(q ** (2 * k), 2) + Fraction(S, 2)
-    return {
-        "S": S,
-        "estimate": estimate,
-        "predicted_main": Fraction(q ** (2 * k), 2),
-        "deviation": Fraction(S, 2),
-    }
+    return CountReport(main + Fraction(S, 2), main)
 
 
 class Pattern:
@@ -449,8 +440,6 @@ def omega_clique(Y, node_budget=10 ** 7):
             return
         if len(chosen) > best:
             best = len(chosen)
-        if len(chosen) + cands.bit_count() <= best:
-            return
         rest = cands
         while rest:
             if len(chosen) + rest.bit_count() <= best:

@@ -25,7 +25,7 @@ from .errors import (
     ZeroPolynomial,
 )
 
-GRID_LIMIT = 1 << 26  # cap on full evaluation-grid size
+DEFAULT_MEM_BUDGET = 1 << 26  # cap on evaluation-grid entries, at 8 bytes each
 
 
 def grlex_key(e):
@@ -232,17 +232,17 @@ class MultiPoly:
                 out.pop(rest, None)
         return MultiPoly(F, self.nvars - 1, out)
 
-    def eval_grid(self):
+    def eval_grid(self, cap=None):
         """Values on the full grid F^nvars as an int64 array of handles.
 
         Axis i indexes variable i by handle.  Memory is q^nvars entries,
-        guarded by GRID_LIMIT.
+        at most cap (default DEFAULT_MEM_BUDGET).
         """
         F = self.field
         q = F.q
         k = self.nvars
-        if q ** k > GRID_LIMIT:
-            raise BudgetExceeded("evaluation grid q^k = %d too large" % q ** k)
+        if q ** k > (DEFAULT_MEM_BUDGET if cap is None else cap):
+            raise BudgetExceeded("evaluation grid q^k = %d exceeds the memory budget" % q ** k)
         shape = (q,) * k
         acc = np.zeros(shape, dtype=np.int64)
         started = False

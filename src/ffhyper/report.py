@@ -10,13 +10,14 @@ from fractions import Fraction
 class CountReport:
     """An exact count next to its predicted main term.
 
-    ``observed`` is an exact integer, ``predicted_main`` an exact
-    rational, ``envelope`` an optional floating upper bound for the
-    absolute deviation.  Deviations are computed exactly and only
-    converted to float for the relative form.
+    ``observed`` is an exact integer (an exact rational for the EPO
+    character-sum estimate), ``predicted_main`` an exact rational,
+    ``envelope`` an optional floating upper bound for the absolute
+    deviation.  Deviations are computed exactly and only converted to
+    float for the relative form.
     """
 
-    observed: int
+    observed: int | Fraction
     predicted_main: Fraction
     envelope: float | None = None
     notes: dict | None = None

@@ -328,7 +328,7 @@ def run_checks(only=None, workers=1):
     """Run the named checks (all by default) and aggregate a report."""
     names = [n for n in CHECKS if only is None or only in n]
     if not names:
-        raise KeyError("no check matches %r" % only)
+        raise ValueError("no check matches %r" % only)
     suites = []
     all_pass = True
     total = 0.0

@@ -347,6 +347,12 @@ def test_envelope_error_formula():
     assert want <= env.err <= math.nextafter(want, math.inf)
 
 
+def test_envelope_beyond_the_float_range_is_infinite():
+    # (2d)^(2C) sqrt(q^(2m-1)) overflows a float at C(12, 2) = 66, d = 20
+    env = predict_envelope(13, 12, 2, 20)
+    assert env.err == math.inf and env.contains(0)
+
+
 def test_envelope_containment_is_symmetric():
     env = ErrorEnvelope(Fraction(100), 10.0)
     assert env.contains(100) and env.contains(110) and env.contains(90)

@@ -1,9 +1,12 @@
+import argparse
 import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
-from ffhyper.cli import main
+from ffhyper.cli import build_parser, main
 
 
 def run(args, capsys):
@@ -158,11 +161,55 @@ def test_even_characteristic_is_rejected(capsys):
     assert code == 2
 
 
-def test_budget_exit_code(capsys):
+@pytest.mark.parametrize("method", ["direct", "charsum"])
+def test_budget_exit_code(method, capsys):
     code, out, err = run(
-        ["epo", "--field", "13", "--poly", "x1*x2+1", "--budget-tuples", "10"],
-        capsys)
+        ["epo", "--field", "13", "--poly", "x1*x2+1", "--budget-tuples", "10",
+         "--method", method], capsys)
     assert code == 3 and "budget" in err
+
+
+def test_verify_without_a_matching_check_is_a_usage_error(capsys):
+    code, out, err = run(["verify", "--only", "nomatch"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("ffhyper: no check matches")
+
+
+@pytest.mark.parametrize("field,poly,m", [("13", "x1^10*x2^10+1", "12"),
+                                          ("5", "x1*x2+1", "100")])
+def test_tuples_past_the_float_range_exit_zero(field, poly, m, capsys):
+    code, out, err = run(["tuples", "--field", field, "--poly", poly, "--m", m], capsys)
+    d = json.loads(out)
+    assert code == 0 and err == ""
+    assert d["envelope"] == "inf" and d["within_envelope"] is True
+
+
+@pytest.mark.parametrize("args", [
+    ["clique", "--field", "5", "--poly", "x1*x2+1", "--method", "both"],
+    ["clique", "--field", "5", "--poly", "x1*x2+1", "--seed", "4"],
+    ["admissible", "--field", "5", "--poly", "x1*x2+1", "--format", "csv"],
+    ["verify", "--field", "5"],
+    ["weil", "--field", "13", "--poly", "x1^2+1", "--k", "1"],
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
+
+def subcommand_flags():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: sorted({o for a in sp._actions for o in a.option_strings} - {"-h", "--help"})
+            for name, sp in sub.choices.items()}
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    flags = subcommand_flags()
+    assert sum(map(len, flags.values())) == 71
+    assert all({"--out", "--cache-dir"} <= set(f) for f in flags.values())
+    assert flags["verify"] == ["--cache-dir", "--only", "--out", "--workers"]
+    assert [n for n, f in flags.items() if "--format" in f] == ["epo", "tuples", "scan"]
 
 
 def test_unknown_subcommand_raises_argparse_exit(capsys):
@@ -285,3 +332,72 @@ def test_scan_marks_inadmissible_rows(capsys):
     assert flagged, "expected at least one non-admissible sample"
     for r in flagged:
         assert r.split(",")[3] in ("FailsPrimitive", "FailsSquareCondition")
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: any subcommand with any flags ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+POLYS = ["x1*x2+1", "x1+x2", "x1*x2*x3+1", "x1^2+x2^2+x3^2", "x1^2+1", "x1;x1+1",
+         "x1;4*x1", "x1*x2", "x1**2", "x1*(x2", "x0+1", "", ";", "y1+1"]
+SMALL = st.integers(-1, 4).map(str)
+FUZZ_FLAGS = {
+    "--field": st.sampled_from(["3", "5", "7", "9", "4", "3^2", "x", ""]),
+    "--poly": st.sampled_from(POLYS),
+    "--k": SMALL,
+    "--m": SMALL,
+    "--s": SMALL,
+    # scan with k = 4 and d = 4 runs the admissibility test for minutes (its
+    # witness search has no budget yet), so d stays below 3
+    "--d": st.integers(-1, 2).map(str),
+    "--seed": st.integers(-1, 3).map(str),
+    "--samples": st.integers(-1, 3).map(str),
+    "--workers": st.integers(-1, 2).map(str),
+    "--budget-tuples": st.integers(-1, 50).map(str),
+    "--budget-mem": st.integers(-1, 50).map(str),
+    "--format": st.sampled_from(["json", "csv", "xml"]),
+    "--method": st.sampled_from(["direct", "charsum", "both", "naive"]),
+    "--paley": st.none(),
+    "--only": st.sampled_from(["nomatch", "density"]),
+    "--out": st.just("OUT"),
+    "--cache-dir": st.just("CACHE"),
+}
+
+
+FLAGS_OF = subcommand_flags()
+ODDS = {"--field": 9, "--poly": 9, "--only": 10}  # in ten
+
+
+@st.composite
+def invocations(draw):
+    """A subcommand with most of its own flags, and sometimes one more of all 17."""
+    name = draw(st.sampled_from(sorted(FLAGS_OF)))
+    # the field and the polynomial gate the rest, so draw them more often;
+    # verify always gets --only, since a run of all its suites takes a second
+    flags = [f for f in FLAGS_OF[name] if draw(st.integers(0, 9)) < ODDS.get(f, 5)]
+    if draw(st.integers(0, 3)) == 0:
+        flags.append(draw(st.sampled_from(sorted(FUZZ_FLAGS))))
+    args = [name]
+    for flag in flags:
+        args.append(flag)
+        value = draw(FUZZ_FLAGS[flag])
+        if value is not None:
+            args.append(value)
+    return args
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200,
+          phases=(Phase.explicit, Phase.generate),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(args=invocations())
+def test_fuzzed_invocations_end_in_a_documented_exit(args, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("FFHYPER_CACHE_DIR", raising=False)
+    paths = {"OUT": str(tmp_path / "out.txt"), "CACHE": str(tmp_path / "cache")}
+    args = [paths.get(a, a) for a in args]
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+        assert code == 2
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in capsys.readouterr().err

@@ -22,6 +22,7 @@ from ffhyper.hypergraph import (
     omega_clique,
     paley,
 )
+from ffhyper import poly
 from ffhyper.parse import parse_poly
 
 F3 = Field(3)
@@ -150,7 +151,7 @@ def test_epo_charsum_estimate_tracks_the_direct_count():
     for F in (F3, F5, F7, F9):
         for Y in (prod_graph(F), paley(F)):
             d = count_epo_direct(Y).observed
-            est = count_epo_charsum(Y)["estimate"]
+            est = count_epo_charsum(Y).observed
             assert abs(est - d) <= 8 * F.q ** 3
 
 
@@ -186,10 +187,25 @@ def test_epo_budget_guard():
     Y = prod_graph(F7)
     with pytest.raises(BudgetExceeded):
         count_epo_direct(Y, budget=100)
-    # the fold is charged q^(2k-1) cells, not q^(2k)
+    # the fold is charged q^(2k-1) cells, not q^(2k), by both of its callers
     assert count_epo_direct(Y, budget=7 ** 3).observed == brute_epo(Y)
+    assert epo_charsum(Y, budget=7 ** 3) == epo_charsum(Y, method="naive")
+    for count in (count_epo_direct, epo_charsum):
+        with pytest.raises(BudgetExceeded):
+            count(Y, budget=7 ** 3 - 1)
+
+
+def test_memory_budget_sets_the_grid_cap(monkeypatch):
+    # one cap: a hypergraph's memory budget may lie above the default
+    F = Field(11)
+    f = parse_poly(F, 3, "x1*x2*x3+1")
+    monkeypatch.setattr(poly, "DEFAULT_MEM_BUDGET", 11 ** 3 - 1)
     with pytest.raises(BudgetExceeded):
-        count_epo_direct(Y, budget=7 ** 3 - 1)
+        f.eval_grid()
+    with pytest.raises(BudgetExceeded):
+        build_hypergraph(F, f, mem_budget=11 ** 3 - 1).value_grid()
+    grid = build_hypergraph(F, f, mem_budget=11 ** 3).value_grid()
+    assert (grid == f.eval_grid(11 ** 3)).all()
 
 
 @settings(PROPERTY, max_examples=30)
