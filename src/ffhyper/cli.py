@@ -4,6 +4,11 @@ Exit codes: 0 success, 1 check failure, 2 usage or parse error,
 3 budget exceeded.  With a cache directory configured (flag or the
 FFHYPER_CACHE_DIR environment variable), a repeated invocation with
 the same canonical inputs replays the stored bytes exactly.
+
+A replay parses the field and the polynomial, hashes the canonical
+inputs and reads one file: it imports neither numpy nor the admissible,
+groebner, bounds and verify modules, and runs no counting kernel.  Each
+handler imports those inside the compute step that uses them.
 """
 
 from __future__ import annotations
@@ -14,12 +19,9 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
-from .admissible import is_admissible, random_symmetric_poly
-from .bounds import b_set_bound, enumerate_B, enumerate_X, slavov_count, weil_check
 from .errors import BudgetExceeded, FFHyperError, ParseError
 from .field import Field
 from .hypergraph import (
@@ -34,7 +36,6 @@ from .hypergraph import (
 )
 from .parse import parse_poly, poly_to_text
 from .poly import UniPoly
-from .verify import run_checks
 
 CSV_VERSION = 1
 
@@ -67,7 +68,7 @@ def _get_poly(args, F, nvars=None):
 
 def _get_hypergraph(args, F):
     if args.paley:
-        return paley(F, args.k or 2)
+        return paley(F, args.k or 2, mem_budget=args.budget_mem)
     return build_hypergraph(F, _get_poly(args, F), mem_budget=args.budget_mem)
 
 
@@ -116,8 +117,12 @@ def cmd_admissible(args):
     F = _parse_field(args.field)
     f = _get_poly(args, F)
     canon = _head(args, F, poly=poly_to_text(f))
-    return _maybe_cache(args, canon, lambda: (
-        0, _json_text({**canon, **is_admissible(f).to_json()})))
+
+    def compute():
+        from .admissible import is_admissible
+        return 0, _json_text({**canon, **is_admissible(f).to_json()})
+
+    return _maybe_cache(args, canon, compute)
 
 
 def cmd_epo(args):
@@ -209,6 +214,7 @@ def cmd_weil(args):
                   a=args.s if args.s is not None else 1)
 
     def compute():
+        from .bounds import weil_check
         w = weil_check(F, g, canon["a"])
         code = 1 if w.applicable and not w.holds else 0
         return code, _json_text({**canon, **w.to_json()})
@@ -222,6 +228,7 @@ def cmd_xset(args):
     canon = _head(args, F, poly=poly_to_text(f))
 
     def compute():
+        from .bounds import enumerate_X
         X = enumerate_X(F, f)
         out = {**canon, **X.to_json(),
                "members": [list(u) for u in X.members],
@@ -237,6 +244,7 @@ def cmd_bset(args):
     canon = _head(args, F, poly=poly_to_text(f))
 
     def compute():
+        from .bounds import b_set_bound, enumerate_B
         B = enumerate_B(F, f, budget=args.budget_tuples)
         bound = b_set_bound(F.q, f.nvars, f.total_degree)
         out = {**canon, "k": f.nvars, "d": f.total_degree, "size": len(B),
@@ -261,6 +269,7 @@ def cmd_slavov(args):
     canon = _head(args, F, m=m, family=[poly_to_text(g) for g in family])
 
     def compute():
+        from .bounds import slavov_count
         rep = slavov_count(F, family, check_condition=True, budget=args.budget_tuples)
         code = 0 if rep.notes["condition_ok"] else 1
         return code, _json_text({**canon, **rep.to_json()})
@@ -277,6 +286,7 @@ def _row_seed(seed, q, i):
 
 
 def _scan_row(job):
+    from .admissible import is_admissible, random_symmetric_poly
     q, i, k, d, m, seed = job
     F = Field.from_order(q)
     f = random_symmetric_poly(F, k, d, seed=_row_seed(seed, q, i))
@@ -297,6 +307,7 @@ def scan_text(fields, samples, k, d, m, seed, workers):
     """Deterministic CSV sweep; byte-identical across worker counts."""
     jobs = [(q, i, k, d, m, seed) for q in fields for i in range(samples)]
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as ex:
             rows = list(ex.map(_scan_row, jobs))
     else:
@@ -314,6 +325,8 @@ def cmd_scan(args):
         raise ParseError("--field for scan must be a comma-separated integer list")
     if not fields:
         raise ParseError("empty field list")
+    if args.format == "json":
+        raise ParseError("scan writes CSV only")
     k = args.k or 2
     d = args.d or 2
     m = args.m or max(3, k)
@@ -329,6 +342,7 @@ def cmd_scan(args):
 
 
 def cmd_verify(args):
+    from .verify import run_checks
     report = run_checks(only=args.only, workers=args.workers)
     return (0 if report["passed"] else 1), _json_text(report)
 

@@ -6,6 +6,7 @@ for g the residue class of x modulo the defining polynomial, gets the
 handle c_0 + c_1*p + ... + c_{n-1}*p^(n-1).  For prime fields the handle
 is simply the residue.  Handles keep the counting kernels plain integer
 and numpy work; ``coeffs``/``element`` convert to and from vectors.
+The field imports numpy on its first array operation, not on construction.
 
 Extension-field multiplication goes through discrete log/antilog tables
 (O(q) memory) built from a primitive element; addition is digitwise
@@ -16,8 +17,6 @@ every nonzero element, so exactly (q-1)/2 handles map to +1.
 from __future__ import annotations
 
 import itertools
-
-import numpy as np
 
 from .errors import (
     DegreeMismatch,
@@ -356,6 +355,7 @@ class Field:
     def add_arr(self, a, b):
         if self.n == 1:
             return (a + b) % self.p
+        import numpy as np
         p = self.p
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
         mult = 1
@@ -369,6 +369,7 @@ class Field:
     def neg_arr(self, a):
         if self.n == 1:
             return (-a) % self.p
+        import numpy as np
         p = self.p
         out = np.zeros(np.shape(a), dtype=np.int64)
         mult = 1
@@ -381,13 +382,14 @@ class Field:
     def mul_arr(self, a, b):
         if self.n == 1:
             return (a * b) % self.p
-        la = self._log_np[a]
-        lb = self._log_np[b]
-        res = self._exp_np[(la + lb) % (self.q - 1)]
+        import numpy as np
+        exp, log = self._log_tables_np()
+        res = exp[(log[a] + log[b]) % (self.q - 1)]
         return np.where((a == 0) | (b == 0), 0, res)
 
     def pow_arr(self, a, e):
         """Elementwise a**e for a scalar exponent e >= 0."""
+        import numpy as np
         if e == 0:
             return np.ones(np.shape(a), dtype=np.int64)
         if self.n == 1:
@@ -400,13 +402,15 @@ class Field:
                 base = (base * base) % self.p
                 k >>= 1
             return out
-        res = self._exp_np[(self._log_np[a] * e) % (self.q - 1)]
+        exp, log = self._log_tables_np()
+        res = exp[(log[a] * e) % (self.q - 1)]
         return np.where(np.asarray(a) == 0, 0, res)
 
     # -- quadratic character ---------------------------------------------------
 
     def _char_tables(self):
         if self._chi is None:
+            import numpy as np
             chi = np.full(self.q, -1, dtype=np.int8)
             chi[0] = 0
             ys = np.arange(1, self.q, dtype=np.int64)
@@ -494,5 +498,12 @@ class Field:
             cur = self._handle_mul_slow(cur, prim)
         self._exp = exp
         self._log = log
-        self._exp_np = np.asarray(exp, dtype=np.int64)
-        self._log_np = np.asarray(log, dtype=np.int64)
+
+    def _log_tables_np(self):
+        """(exp, log) as int64 arrays, built on the first array operation."""
+        if self._exp_np is None:
+            import numpy as np
+            self._log_np = np.asarray(self._log, dtype=np.int64)
+            # assigned last: a thread that sees it set also sees _log_np
+            self._exp_np = np.asarray(self._exp, dtype=np.int64)
+        return self._exp_np, self._log_np

@@ -21,11 +21,8 @@ all 2k-tuples of prod chi(f(positions)), estimating q^(2k)/2 + S/2.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb, factorial
-
-import numpy as np
 
 from .errors import (
     ArityMismatch,
@@ -112,13 +109,14 @@ def build_hypergraph(field, poly, mem_budget=DEFAULT_MEM_BUDGET):
     return HypergraphView(field, poly, mem_budget)
 
 
-def paley(field, k=2):
+def paley(field, k=2, mem_budget=DEFAULT_MEM_BUDGET):
     """Hypergraph of x1 + ... + xk; the k = 2 case is the Paley-type graph."""
     f = MultiPoly(field, k, {tuple(int(i == j) for j in range(k)): 1 for i in range(k)})
-    return build_hypergraph(field, f)
+    return build_hypergraph(field, f, mem_budget)
 
 
 def _strictly_increasing_mask(q, k):
+    import numpy as np
     m = np.ones((q,) * k, dtype=bool)
     ax = [np.arange(q).reshape((1,) * i + (q,) + (1,) * (k - 1 - i)) for i in range(k)]
     for i in range(k - 1):
@@ -148,6 +146,7 @@ def _worker_chunks(q, workers):
 def _run_chunks(fn, chunks, workers):
     if workers <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, chunks))
 
@@ -165,6 +164,7 @@ def _fold(T, k, workers, budget, finish):
     q = T.shape[0]
     if q ** (2 * k - 1) > budget:
         raise BudgetExceeded("q^(2k-1) = %d exceeds the tuple budget" % q ** (2 * k - 1))
+    import numpy as np
     A = None
     for eps in itertools.product((0, 1), repeat=k - 2):
         axis_map = [0, 1] + [2 + 2 * i + eps[i] for i in range(k - 2)]
@@ -190,6 +190,7 @@ def count_epo_direct(Y, budget=DEFAULT_TUPLE_BUDGET, workers=1):
     P_r(x) = prod_eps T(x, r_eps).  If D_r sums P_r over the n = q-2(k-1) values outside
     r, then (n^2 + D_r^2)/2 - n pairs (u_1(0), u_1(1)) have equal sign.
     """
+    import numpy as np
     k, q = Y.k, Y.q
     T = Y.chi_grid("tilde")
     n = q - 2 * (k - 1)
@@ -222,6 +223,7 @@ def epo_charsum(Y, method="factored", workers=1, budget=DEFAULT_TUPLE_BUDGET):
     cost; the naive form is the full lattice product, the reference.
     Both are exact integers and agree.
     """
+    import numpy as np
     k, q = Y.k, Y.q
     C = Y.chi_grid("strict").astype(np.int8)
     if method == "naive":
@@ -317,6 +319,7 @@ def count_labeled_induced(Y, pattern, budget=DEFAULT_TUPLE_BUDGET):
 
 def _bitsets(grid):
     """Bit j of out[t] is grid[t + (j,)], t the leading axes flattened in C order."""
+    import numpy as np
     packed = np.packbits(grid, axis=-1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little")
             for row in packed.reshape(-1, packed.shape[-1])]
@@ -324,6 +327,7 @@ def _bitsets(grid):
 
 def _msubsets_k2(Y, m, workers):
     """Clique-of-size-m count for graphs via vertex bitsets."""
+    import numpy as np
     q = Y.q
     above = _bitsets(np.triu(Y.edge_grid(), 1))  # neighbours w > v
 
@@ -420,6 +424,7 @@ def omega_clique(Y, node_budget=10 ** 7):
     Candidates are bitsets over ranks in that order; link[t] holds the
     ranks completing the (k-1)-tuple t of ranks to an edge.
     """
+    import numpy as np
     k, q = Y.k, Y.q
     eg = Y.edge_grid()
     hits = eg & _strictly_increasing_mask(q, k)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import itertools
 
-import numpy as np
-
 from .errors import (
     ArityMismatch,
     BudgetExceeded,
@@ -243,6 +241,7 @@ class MultiPoly:
         k = self.nvars
         if q ** k > (DEFAULT_MEM_BUDGET if cap is None else cap):
             raise BudgetExceeded("evaluation grid q^k = %d exceeds the memory budget" % q ** k)
+        import numpy as np
         shape = (q,) * k
         acc = np.zeros(shape, dtype=np.int64)
         started = False
@@ -712,6 +711,7 @@ class UniPoly:
         return acc
 
     def eval_arr(self, xs):
+        import numpy as np
         F = self.field
         acc = np.zeros(np.shape(xs), dtype=np.int64)
         for c in reversed(self.coeffs):

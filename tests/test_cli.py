@@ -169,6 +169,14 @@ def test_budget_exit_code(method, capsys):
     assert code == 3 and "budget" in err
 
 
+@pytest.mark.parametrize("command", [["epo"], ["tuples", "--m", "3"], ["clique"]])
+def test_paley_honours_the_memory_budget(command, capsys):
+    args = command + ["--field", "9", "--budget-mem", "1"]
+    assert run(args + ["--poly", "x1+x2"], capsys)[0] == 3
+    code, out, err = run(args + ["--paley"], capsys)
+    assert (code, out) == (3, "") and "exceeds the memory budget" in err
+
+
 def test_verify_without_a_matching_check_is_a_usage_error(capsys):
     code, out, err = run(["verify", "--only", "nomatch"], capsys)
     assert (code, out) == (2, "")
@@ -323,6 +331,17 @@ def test_scan_workers_agree(capsys):
         assert got == base
 
 
+def test_scan_json_is_a_usage_error(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    args = ["scan", "--field", "5", "--samples", "1", "--cache-dir", str(cache)]
+    assert run(args + ["--format", "json"], capsys) == (2, "", "ffhyper: scan writes CSV only\n")
+    assert not cache.exists()
+    default = run(args, capsys)
+    assert run(args + ["--format", "csv"], capsys) == default and default[0] == 0
+    assert [p.name for p in cache.iterdir()] == [
+        "2fa263b50212734d57ed7f0cc0d1ce41f7031cecec91b2dad469b2d7108076b4.json"]
+
+
 def test_scan_marks_inadmissible_rows(capsys):
     code, out, _ = run(
         ["scan", "--field", "5", "--samples", "6", "--seed", "1"], capsys)
@@ -332,6 +351,45 @@ def test_scan_marks_inadmissible_rows(capsys):
     assert flagged, "expected at least one non-admissible sample"
     for r in flagged:
         assert r.split(",")[3] in ("FailsPrimitive", "FailsSquareCondition")
+
+
+# ---------------------------------------------------------------------------
+# Imports: a cache replay loads no numpy and no counting or algebra module
+# ---------------------------------------------------------------------------
+
+# runs the CLI, then writes the loaded numpy and ffhyper modules to the last stderr line
+CHILD = """import json, sys
+from ffhyper.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m == "numpy" or m.startswith("ffhyper"))),
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def loaded_modules(child):
+    return set(json.loads(child.stderr.splitlines()[-1]))
+
+
+def test_a_cache_replay_loads_no_numpy_and_no_kernels(tmp_path, python_child):
+    args = ["epo", "--field", "61", "--poly", "x1*x2+1", "--cache-dir", str(tmp_path / "cache")]
+    miss = python_child(CHILD, *args)
+    replay = python_child(CHILD, *args)
+    assert (miss.returncode, replay.returncode) == (0, 0)
+    assert replay.stdout == miss.stdout
+    assert "numpy" in loaded_modules(miss)
+    assert not loaded_modules(replay) & {"numpy", "ffhyper.verify", "ffhyper.bounds",
+                                         "ffhyper.admissible", "ffhyper.groebner"}
+
+
+def test_a_cold_threaded_scan_matches_one_worker(tmp_path, python_child):
+    # with two workers, numpy is first imported inside the worker threads
+    args = ["scan", "--field", "5,7,9", "--samples", "5"]
+    one = python_child(CHILD, *args, "--workers", "1", "--cache-dir", str(tmp_path / "c1"))
+    two = python_child(CHILD, *args, "--workers", "2", "--cache-dir", str(tmp_path / "c2"))
+    assert (one.returncode, two.returncode) == (0, 0)
+    assert two.stdout == one.stdout
+    assert "numpy" in loaded_modules(two)
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,17 @@ def test_pow_arr_matches_scalar_pow():
                 assert out[x] == F.pow(x, e)
 
 
+@pytest.mark.parametrize("q", [9, 25, 27])
+def test_array_tables_built_on_first_use_match_scalar_ops(q):
+    F = Field.from_order(q)
+    assert F._exp_np is None
+    xs = np.arange(q)
+    mul = F.mul_arr(xs[:, None], xs[None, :])
+    assert mul.tolist() == [[F.mul(a, b) for b in range(q)] for a in range(q)]
+    for e in range(q):
+        assert F.pow_arr(xs, e).tolist() == [F.pow(a, e) for a in range(q)]
+
+
 def test_element_round_trip_through_coefficients():
     for F in (Field(3, 2), Field(5, 2), Field(3, 3)):
         for a in F.elements():
