@@ -5,9 +5,11 @@ evaluates to a square there (zero counts as a square, so the character
 value is nonnegative).  Symmetry of f makes the edge predicate
 order-free.  For f = x1 + ... + xk this is the Paley graph/hypergraph.
 
-Counting kernels work on the full evaluation grid of f (q^k handles)
-with numpy, partitioned so that a worker count never changes the exact
-integer results.
+The EPO kernels work on the full evaluation grid of f (q^k handles)
+with numpy.  The m-subset count and the clique search run on link
+bitsets: bit j of link[t] says whether the (k-1)-tuple t plus j is an
+edge.  Work is partitioned so that a worker count never changes the
+exact integer results.
 
 The even-partial-octahedron count runs over labeled 2k-tuples of
 distinct vertices (u_1(0), u_1(1), ..., u_k(0), u_k(1)) and asks that an
@@ -33,7 +35,6 @@ from .errors import (
     ZeroPolynomial,
 )
 from .poly import DEFAULT_MEM_BUDGET, MultiPoly
-from .report import CountReport
 
 DEFAULT_TUPLE_BUDGET = 1 << 27
 SLAB_CELLS = 1 << 18  # rest-lattice cells the EPO fold holds at once
@@ -212,6 +213,7 @@ def count_epo_direct(Y, budget=DEFAULT_TUPLE_BUDGET, workers=1):
         return (n * n * d.size + int((d * d).sum(dtype=np.int64))) // 2 - n * d.size
 
     observed = _fold(T, k, workers, budget, finish)
+    from .report import CountReport
     return CountReport(observed, Fraction(q ** (2 * k), 2))
 
 
@@ -250,6 +252,7 @@ def count_epo_charsum(Y, workers=1, method="factored", budget=DEFAULT_TUPLE_BUDG
     from the enumerated count by bounded boundary terms (zero values of
     f and repeated coordinates), not by more.
     """
+    from .report import CountReport
     main = Fraction(Y.q ** (2 * Y.k), 2)
     S = epo_charsum(Y, method=method, workers=workers, budget=budget)
     return CountReport(main + Fraction(S, 2), main)
@@ -314,6 +317,7 @@ def count_labeled_induced(Y, pattern, budget=DEFAULT_TUPLE_BUDGET):
         if ok:
             observed += 1
     predicted = Fraction(q ** s, 2 ** comb(s, Y.k))
+    from .report import CountReport
     return CountReport(observed, predicted)
 
 
@@ -325,67 +329,61 @@ def _bitsets(grid):
             for row in packed.reshape(-1, packed.shape[-1])]
 
 
-def _msubsets_k2(Y, m, workers):
-    """Clique-of-size-m count for graphs via vertex bitsets."""
-    import numpy as np
-    q = Y.q
-    above = _bitsets(np.triu(Y.edge_grid(), 1))  # neighbours w > v
+def _offsets(chosen, q, k):
+    """q times the base-q index of each (k-2)-subset of chosen.
 
-    def rec(cand, depth):
-        if depth == m:
-            return 1
-        total = 0
-        c = cand
-        while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            if depth + 1 == m:
-                total += 1
-            else:
-                total += rec(cand & above[v], depth + 1)
-        return total
-
-    def start_count(bounds):  # m >= k = 2
-        lo, hi = bounds
-        return sum(rec(above[v], 1) for v in range(lo, hi))
-
-    parts = _run_chunks(start_count, _worker_chunks(q, workers), workers)
-    return sum(parts)
+    With link = _bitsets of the edge grid and v a vertex, link[o + v]
+    over these o hold the vertices w that complete each (k-2)-subset of
+    chosen, plus v, to an edge.
+    """
+    out = []
+    for sub in itertools.combinations(chosen, k - 2):
+        t = 0
+        for u in sub:
+            t = t * q + u
+        out.append(t * q)
+    return out
 
 
-def _msubsets_generic(Y, m, workers):
+def _msubsets(Y, m, workers):
+    """Count the m-subsets (k <= m <= q) on link bitsets, in start-vertex chunks.
+
+    A node's candidates are the vertices above its last one that extend
+    it to a clique; a node at depth m - 2 adds its children's candidate
+    counts instead of visiting them.
+    """
     k, q = Y.k, Y.q
-    eg = Y.edge_grid()
+    link = _bitsets(Y.edge_grid())
+    full = (1 << q) - 1
 
-    def extensions(chosen, start):
-        out = []
-        for v in range(start, q):
-            ok = True
-            if len(chosen) >= k - 1:
-                for sub in itertools.combinations(chosen, k - 1):
-                    if not eg[tuple(sorted(sub + (v,)))]:
-                        ok = False
-                        break
-            if ok:
-                out.append(v)
-        return out
-
-    def rec(chosen, start):
-        if len(chosen) == m:
-            return 1
+    def rec(chosen, cands):
+        if len(chosen) + 1 == m:
+            return cands.bit_count()
+        offs = _offsets(chosen, q, k)
+        leaf = len(chosen) + 2 == m
         total = 0
-        for v in extensions(chosen, start):
-            total += rec(chosen + (v,), v + 1)
+        while cands:
+            v = (cands & -cands).bit_length() - 1
+            cands &= cands - 1
+            nxt = cands
+            for o in offs:
+                nxt &= link[o + v]
+            total += nxt.bit_count() if leaf else rec(chosen + (v,), nxt)
         return total
+
+    root = _offsets((), q, k)
 
     def start_count(bounds):
         lo, hi = bounds
-        return sum(rec((v,), v + 1) for v in range(lo, hi))
+        total = 0
+        for v in range(lo, hi):
+            nxt = full >> (v + 1) << (v + 1)
+            for o in root:
+                nxt &= link[o + v]
+            total += rec((v,), nxt)
+        return total
 
-    if m == 0:
-        return 1
-    parts = _run_chunks(start_count, _worker_chunks(q, workers), workers)
-    return sum(parts)
+    return sum(_run_chunks(start_count, _worker_chunks(q, workers), workers))
 
 
 def count_m_subsets(Y, m, workers=1, budget=DEFAULT_TUPLE_BUDGET, with_envelope=True):
@@ -400,17 +398,13 @@ def count_m_subsets(Y, m, workers=1, budget=DEFAULT_TUPLE_BUDGET, with_envelope=
     q = Y.q
     if comb(q, m) > budget:
         raise BudgetExceeded("C(q, m) = %d subsets exceed the budget" % comb(q, m))
-    if m > q:
-        observed = 0
-    elif Y.k == 2:
-        observed = _msubsets_k2(Y, m, workers)
-    else:
-        observed = _msubsets_generic(Y, m, workers)
+    observed = 0 if m > q else _msubsets(Y, m, workers)
     predicted = Fraction(q ** m, factorial(m) * 2 ** comb(m, Y.k))
     envelope = None
     if with_envelope:
         from .bounds import predict_envelope
         envelope = predict_envelope(q, m, Y.k, Y.poly.total_degree).err
+    from .report import CountReport
     return CountReport(observed, predicted, envelope)
 
 
@@ -422,7 +416,10 @@ def omega_clique(Y, node_budget=10 ** 7):
     and the value is only a lower bound.  Sets smaller than k are
     vacuously complete, so omega >= min(q, k-1) always.
     Candidates are bitsets over ranks in that order; link[t] holds the
-    ranks completing the (k-1)-tuple t of ranks to an edge.
+    ranks completing the (k-1)-tuple t of ranks to an edge.  A node is
+    counted against the budget, and raises the best size, where its
+    parent creates it; the parent descends only into a child whose own
+    loop would take a step.
     """
     import numpy as np
     k, q = Y.k, Y.q
@@ -431,32 +428,35 @@ def omega_clique(Y, node_budget=10 ** 7):
     score = sum(hits.sum(axis=tuple(j for j in range(k) if j != i)) for i in range(k))
     order = sorted(range(q), key=lambda v: (-int(score[v]), v))
     link = _bitsets(eg[np.ix_(*[order] * k)])
-    weights = [q ** (k - 2 - i) for i in range(k - 1)]
 
     best = min(q, k - 1)
-    nodes = 0
-    exact = True
+    nodes = 1  # the root
+    exact = node_budget >= 1
 
-    def rec(chosen, cands):
+    def rec(chosen, rest):
+        # rest is nonempty and len(chosen) + popcount(rest) > best
         nonlocal best, nodes, exact
-        nodes += 1
-        if nodes > node_budget:
-            exact = False
-            return
-        if len(chosen) > best:
-            best = len(chosen)
-        rest = cands
-        while rest:
-            if len(chosen) + rest.bit_count() <= best:
-                return
+        offs = _offsets(chosen, q, k)
+        depth = len(chosen) + 1  # of each child
+        while True:
             v = (rest & -rest).bit_length() - 1
             rest &= rest - 1
             nxt = rest
-            for sub in itertools.combinations(chosen, k - 2):
-                nxt &= link[sum(w * t for w, t in zip(weights, sub + (v,)))]
-            rec(chosen + (v,), nxt)
-            if not exact:
+            for o in offs:
+                nxt &= link[o + v]
+            nodes += 1
+            if nodes > node_budget:
+                exact = False
+                return
+            if depth > best:
+                best = depth
+            if depth + nxt.bit_count() > best:
+                rec(chosen + (v,), nxt)
+                if not exact:
+                    return
+            if depth - 1 + rest.bit_count() <= best:
                 return
 
-    rec(tuple(), (1 << q) - 1)
+    if exact and q > best:
+        rec((), (1 << q) - 1)
     return best, exact

@@ -9,15 +9,19 @@ tables; the frozen copies live in ffhyper.verify.
 
 The last section is different: it keeps earlier package kernels that
 faster ones replaced, as references for property tests.  The clique
-search is verbatim apart from its name; the dense EPO count takes its
-worker chunk as arguments.  Both take a package HypergraphView and read
-its edge grid.
+search and the tuple scan for m-subsets are verbatim apart from their
+names; the scan splits its start vertices with the package's own
+worker chunks.  The dense EPO count takes its worker chunk as
+arguments.  All three take a package HypergraphView and read its edge
+grid.
 """
 
 import itertools
 from itertools import combinations, permutations, product
 
 import numpy as np
+
+from ffhyper.hypergraph import _run_chunks, _worker_chunks
 
 # Hardcoded irreducible moduli for the extension sizes the fixtures
 # need; coefficient lists are little-endian, leading coefficient 1.
@@ -239,6 +243,41 @@ def dense_epo_count(Y, lo=0, hi=None):
             neq = coords[i] != coords[j]
             dist = neq if dist is None else dist & neq
     return int(((par == 0) & dist).sum(dtype=np.int64))
+
+
+def m_subsets_tuples(Y, m, workers):
+    k, q = Y.k, Y.q
+    eg = Y.edge_grid()
+
+    def extensions(chosen, start):
+        out = []
+        for v in range(start, q):
+            ok = True
+            if len(chosen) >= k - 1:
+                for sub in itertools.combinations(chosen, k - 1):
+                    if not eg[tuple(sorted(sub + (v,)))]:
+                        ok = False
+                        break
+            if ok:
+                out.append(v)
+        return out
+
+    def rec(chosen, start):
+        if len(chosen) == m:
+            return 1
+        total = 0
+        for v in extensions(chosen, start):
+            total += rec(chosen + (v,), v + 1)
+        return total
+
+    def start_count(bounds):
+        lo, hi = bounds
+        return sum(rec((v,), v + 1) for v in range(lo, hi))
+
+    if m == 0:
+        return 1
+    parts = _run_chunks(start_count, _worker_chunks(q, workers), workers)
+    return sum(parts)
 
 
 def omega_clique_lists(Y, node_budget=10 ** 7):

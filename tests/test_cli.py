@@ -357,11 +357,13 @@ def test_scan_marks_inadmissible_rows(capsys):
 # Imports: a cache replay loads no numpy and no counting or algebra module
 # ---------------------------------------------------------------------------
 
-# runs the CLI, then writes the loaded numpy and ffhyper modules to the last stderr line
+# runs the CLI, then writes the loaded numpy, dataclasses and ffhyper modules to the last
+# stderr line
 CHILD = """import json, sys
 from ffhyper.cli import main
 code = main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m == "numpy" or m.startswith("ffhyper"))),
+print(json.dumps(sorted(m for m in sys.modules
+                        if m in ("numpy", "dataclasses") or m.startswith("ffhyper"))),
       file=sys.stderr)
 sys.exit(code)
 """
@@ -379,7 +381,8 @@ def test_a_cache_replay_loads_no_numpy_and_no_kernels(tmp_path, python_child):
     assert replay.stdout == miss.stdout
     assert "numpy" in loaded_modules(miss)
     assert not loaded_modules(replay) & {"numpy", "ffhyper.verify", "ffhyper.bounds",
-                                         "ffhyper.admissible", "ffhyper.groebner"}
+                                         "ffhyper.admissible", "ffhyper.groebner",
+                                         "ffhyper.report", "dataclasses"}
 
 
 def test_a_cold_threaded_scan_matches_one_worker(tmp_path, python_child):

@@ -268,6 +268,17 @@ def test_m_subsets_worker_independence():
         assert count_m_subsets(Y, 3, workers=w).observed == base
 
 
+@settings(PROPERTY, max_examples=40)
+@given(kq=st.sampled_from([(2, q) for q in (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31)]
+                          + [(3, q) for q in (3, 5, 7, 9, 11, 13)] + [(4, q) for q in (3, 5, 7)]),
+       d=DEGREES, seed=SEEDS, extra=st.integers(0, 2), workers=st.integers(1, 3))
+def test_m_subsets_bitsets_match_the_tuple_search(kq, d, seed, extra, workers):
+    k, q = kq
+    Y = random_graph(q, k, d, seed)
+    m = k + extra
+    assert count_m_subsets(Y, m, workers=workers).observed == oracles.m_subsets_tuples(Y, m, 1)
+
+
 # ---------------------------------------------------------------------------
 # Labeled induced patterns
 # ---------------------------------------------------------------------------
@@ -338,7 +349,7 @@ def test_omega_triples():
 
 @settings(PROPERTY, max_examples=40)
 @given(kq=st.sampled_from([(2, q) for q in (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31)]
-                          + [(3, q) for q in (3, 5, 7, 9, 11)]),
+                          + [(3, q) for q in (3, 5, 7, 9, 11)] + [(4, q) for q in (5, 7)]),
        d=DEGREES, seed=SEEDS, budget=st.one_of(st.integers(1, 64), st.none()))
 def test_omega_bitsets_match_the_list_search(kq, d, seed, budget):
     # same (omega, exact) for every node budget, the binding ones included
@@ -346,6 +357,28 @@ def test_omega_bitsets_match_the_list_search(kq, d, seed, budget):
     Y = random_graph(q, k, d, seed)
     args = () if budget is None else (budget,)
     assert omega_clique(Y, *args) == oracles.omega_clique_lists(Y, *args)
+
+
+def nodes_needed(search, Y):
+    """The smallest node budget at which search(Y, budget) is exact, by bisection."""
+    lo, hi = 0, 1  # search(Y, lo) is inexact
+    while not search(Y, hi)[1]:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if search(Y, mid)[1] else (mid, hi)
+    return hi
+
+
+@settings(PROPERTY, max_examples=20)
+@given(kq=st.sampled_from([(2, q) for q in (3, 5, 7, 11, 13, 17, 19, 23, 25, 29, 31)]
+                          + [(3, q) for q in (5, 7, 9, 11)] + [(4, q) for q in (5, 7)]),
+       d=DEGREES, seed=SEEDS)
+def test_omega_needs_the_same_node_budget_as_the_list_search(kq, d, seed):
+    # the whole search visits the same number of nodes, not only its first 64
+    k, q = kq
+    Y = random_graph(q, k, d, seed)
+    assert nodes_needed(omega_clique, Y) == nodes_needed(oracles.omega_clique_lists, Y)
 
 
 def test_omega_budget_gives_a_lower_bound():
