@@ -40,9 +40,8 @@ _EXPORTS = {
     ), "admissible"),
     **dict.fromkeys(("CountReport",), "report"),
     **dict.fromkeys((
-        "HypergraphView", "Pattern", "build_hypergraph", "count_epo_charsum",
-        "count_epo_direct", "count_labeled_induced", "count_m_subsets", "epo_charsum",
-        "omega_clique", "paley",
+        "HypergraphView", "build_hypergraph", "count_epo_charsum", "count_epo_direct",
+        "count_m_subsets", "epo_charsum", "omega_clique", "paley",
     ), "hypergraph"),
     **dict.fromkeys((
         "CrosscheckReport", "ErrorEnvelope", "ExceptionalSetX", "WeilCheck", "b_set_bound",

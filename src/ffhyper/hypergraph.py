@@ -8,8 +8,9 @@ order-free.  For f = x1 + ... + xk this is the Paley graph/hypergraph.
 The EPO kernels work on the full evaluation grid of f (q^k handles)
 with numpy.  The m-subset count and the clique search run on link
 bitsets: bit j of link[t] says whether the (k-1)-tuple t plus j is an
-edge.  Work is partitioned so that a worker count never changes the
-exact integer results.
+edge; each search node passes its children tables of base-q offsets
+into link.  Work is partitioned so that a worker count never changes
+the exact integer results.
 
 The even-partial-octahedron count runs over labeled 2k-tuples of
 distinct vertices (u_1(0), u_1(1), ..., u_k(0), u_k(1)) and asks that an
@@ -18,13 +19,16 @@ be edges; quasi-randomness predicts q^(2k)/2 of them.  One kernel folds
 the u_1 pair in O(q^(2k-1)) work: with the tilde character (edge parity)
 it gives the exact count, with the strict one the character sum S over
 all 2k-tuples of prod chi(f(positions)), estimating q^(2k)/2 + S/2.
+Its Gram products run in float32: the character values lie in
+{-1, 0, 1}, so every partial sum is an integer of size at most q, which
+float32 holds exactly for q < 2^24; the fold refuses larger fields.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .errors import (
     ArityMismatch,
@@ -156,32 +160,61 @@ def _fold(T, k, workers, budget, finish):
     """Sum of finish(lo, hi, inner) over slabs u_2(0) in [lo, hi) of the rest lattice.
 
     inner[r] = sum_x prod_eps T(x, r_eps) at r = (u_2(0), u_2(1), ..., u_k(0), u_k(1))
-    = (c0, c1, r') is sum_x A(x, c0, r') A(x, c1, r'), one Gram product per r'.
-    T lies in {-1, 0, 1}, so the float64 sums are exact integers.  The
-    q^(2k-1) cells (x, r) are charged to the tuple budget.
+    = (c0, c1, r') is sum_x A(x, c0, r') A(x, c1, r'), one Gram product per r',
+    run in float32.  T lies in {-1, 0, 1}, so every partial sum of a Gram
+    entry is an integer of size at most q; float32 holds each such integer
+    exactly while q < 2^24, and larger fields are refused.  finish gets
+    inner as int32.  The q^(2k-1) cells (x, r) are charged to the tuple budget.
     """
     if k < 2:
         raise ArityMismatch("the octahedron fold needs k >= 2")
     q = T.shape[0]
     if q ** (2 * k - 1) > budget:
         raise BudgetExceeded("q^(2k-1) = %d exceeds the tuple budget" % q ** (2 * k - 1))
+    if q >= 1 << 24:
+        raise BudgetExceeded("q = %d: float32 sums are exact only for q < 2^24" % q)
     import numpy as np
     A = None
     for eps in itertools.product((0, 1), repeat=k - 2):
         axis_map = [0, 1] + [2 + 2 * i + eps[i] for i in range(k - 2)]
         view = _axis_view(T, 2 * k - 2, axis_map)
-        A = view.astype(np.float64) if A is None else A * view
+        A = view.astype(np.float32) if A is None else A * view
     G = np.ascontiguousarray(A.reshape(q, q, -1).transpose(2, 0, 1))  # G[r', x, c]
 
     def slab(bounds):
         lo, hi = bounds
         inner = np.matmul(G[:, :, lo:hi].transpose(0, 2, 1), G)  # inner[r', c0, c1]
         inner = inner.transpose(1, 2, 0).reshape((hi - lo,) + (q,) * (2 * k - 3))
-        return finish(lo, hi, inner.astype(np.int64))
+        return finish(lo, hi, inner.astype(np.int32))
 
     rows = max(1, min(SLAB_CELLS // q ** (2 * k - 3), -(-q // max(1, workers))))
     slabs = [(lo, min(q, lo + rows)) for lo in range(0, q, rows)]
     return sum(_run_chunks(slab, slabs, workers))
+
+
+def _pair_factors(T, k):
+    """Per pair p of rest axes (2p, 2p + 1), the factor lists (O_p, R_2p, R_2p+1).
+
+    For r_j in pair p, the term P_r(r_j) of D_r (see count_epo_direct) is
+    O_p R_j: O_p holds the factors T(r_j, r_eps) whose eps_p picks the
+    pair's other axis, the same for both j, and R_j those that repeat r_j.
+    A factor is a view of T, or of its diagonal, on the sorted rest axes
+    its arguments land on (T is symmetric); its axis 0 has size q exactly
+    when it spans rest axis 0, the slab axis.
+    """
+    import numpy as np
+    ndim = 2 * k - 2
+
+    def view(axes):
+        distinct = sorted(set(axes))
+        return _axis_view(np.einsum(T, sorted(axes), distinct), ndim, distinct)
+
+    out = []
+    for p in range(k - 1):
+        picks = list(itertools.product(*[(2 * i, 2 * i + 1) for i in range(k - 1) if i != p]))
+        out.append([[view((2 * p + a, 2 * p + b) + pick) for pick in picks]
+                    for a, b in ((0, 1), (0, 0), (1, 1))])
+    return out
 
 
 def count_epo_direct(Y, budget=DEFAULT_TUPLE_BUDGET, workers=1):
@@ -189,28 +222,35 @@ def count_epo_direct(Y, budget=DEFAULT_TUPLE_BUDGET, workers=1):
 
     With T the tilde character (+1 on edges), a tuple's parity sign is P_r(u_1(0)) P_r(u_1(1)),
     P_r(x) = prod_eps T(x, r_eps).  If D_r sums P_r over the n = q-2(k-1) values outside
-    r, then (n^2 + D_r^2)/2 - n pairs (u_1(0), u_1(1)) have equal sign.
+    r, then (n^2 + D_r^2)/2 - n pairs (u_1(0), u_1(1)) have equal sign.  A slab holds
+    (hi-lo) (q-1)!/(q-2k+2)! tuples r with distinct entries.
     """
     import numpy as np
     k, q = Y.k, Y.q
     T = Y.chi_grid("tilde")
     n = q - 2 * (k - 1)
     ndim = 2 * k - 2
+    pairs = _pair_factors(T, k)
 
     def finish(lo, hi, inner):
+        def product(factors):
+            P = 1
+            for view in factors:
+                P = P * (view[lo:hi] if view.shape[0] == q else view)
+            return P
+
+        D = inner
+        for off, same0, same1 in pairs:  # drop the terms x = r_j
+            D = D - product(off) * (product(same0) + product(same1))
         coords = [_axis_view(np.arange(lo, hi) if p == 0 else np.arange(q), ndim, [p])
                   for p in range(ndim)]
-        D = inner
-        for j in range(ndim):  # drop the terms x = r_j
-            P = 1
-            for eps in itertools.product((0, 1), repeat=k - 1):
-                P = P * T[(coords[j],) + tuple(coords[2 * i + eps[i]] for i in range(k - 1))]
-            D = D - P
-        distinct = np.ones(D.shape, dtype=bool)
-        for i, j in itertools.combinations(range(ndim), 2):
-            distinct &= coords[i] != coords[j]
-        d = D[distinct]
-        return (n * n * d.size + int((d * d).sum(dtype=np.int64))) // 2 - n * d.size
+        distinct = True
+        for j in range(1, ndim):
+            for i in range(j):
+                distinct = distinct & (coords[i] != coords[j])
+        cells = (hi - lo) * perm(q - 1, ndim - 1)
+        squares = int(np.square(D * distinct, dtype=np.int64).sum())
+        return (n * n * cells + squares) // 2 - n * cells
 
     observed = _fold(T, k, workers, budget, finish)
     from .report import CountReport
@@ -241,7 +281,8 @@ def epo_charsum(Y, method="factored", workers=1, budget=DEFAULT_TUPLE_BUDGET):
         return int(prod.sum(dtype=np.int64))
     if method != "factored":
         raise ValueError("method must be 'factored' or 'naive'")
-    return _fold(C, k, workers, budget, lambda lo, hi, inner: int((inner * inner).sum()))
+    return _fold(C, k, workers, budget,
+                 lambda lo, hi, inner: int(np.square(inner, dtype=np.int64).sum()))
 
 
 def count_epo_charsum(Y, workers=1, method="factored", budget=DEFAULT_TUPLE_BUDGET):
@@ -258,69 +299,6 @@ def count_epo_charsum(Y, workers=1, method="factored", budget=DEFAULT_TUPLE_BUDG
     return CountReport(main + Fraction(S, 2), main)
 
 
-class Pattern:
-    """A k-uniform pattern hypergraph on vertices 0..nverts-1."""
-
-    def __init__(self, nverts, k, edges):
-        self.nverts = nverts
-        self.k = k
-        self.edges = frozenset(frozenset(e) for e in edges)
-        for e in self.edges:
-            if len(e) != k or not all(0 <= v < nverts for v in e):
-                raise ArityMismatch("bad pattern edge %r" % (sorted(e),))
-
-    @classmethod
-    def single_edge(cls, k):
-        return cls(k, k, [range(k)])
-
-    @classmethod
-    def empty(cls, nverts, k):
-        return cls(nverts, k, [])
-
-    @classmethod
-    def complete(cls, nverts, k):
-        return cls(nverts, k, itertools.combinations(range(nverts), k))
-
-    @classmethod
-    def path3(cls):
-        """Two adjacent edges on three vertices, k = 2."""
-        return cls(3, 2, [(0, 1), (1, 2)])
-
-
-def count_labeled_induced(Y, pattern, budget=DEFAULT_TUPLE_BUDGET):
-    """Labeled induced copies: injective maps matching edges exactly.
-
-    Predicted main term q^s / 2^C(s,k) for a pattern on s vertices.
-    """
-    if pattern.k != Y.k:
-        raise ArityMismatch("pattern uniformity differs from the hypergraph")
-    s = pattern.nverts
-    q = Y.q
-    total_maps = 1
-    for i in range(s):
-        total_maps *= q - i
-    if total_maps < 0:
-        total_maps = 0
-    if total_maps > budget:
-        raise BudgetExceeded("q!/(q-s)! = %d injective maps exceed the budget" % total_maps)
-    subsets = list(itertools.combinations(range(s), Y.k))
-    want = [frozenset(sub) in pattern.edges for sub in subsets]
-    eg = Y.edge_grid()
-    observed = 0
-    for image in itertools.permutations(range(q), s):
-        ok = True
-        for sub, w in zip(subsets, want):
-            idx = tuple(image[v] for v in sub)
-            if bool(eg[idx]) != w:
-                ok = False
-                break
-        if ok:
-            observed += 1
-    predicted = Fraction(q ** s, 2 ** comb(s, Y.k))
-    from .report import CountReport
-    return CountReport(observed, predicted)
-
-
 def _bitsets(grid):
     """Bit j of out[t] is grid[t + (j,)], t the leading axes flattened in C order."""
     import numpy as np
@@ -329,19 +307,25 @@ def _bitsets(grid):
             for row in packed.reshape(-1, packed.shape[-1])]
 
 
-def _offsets(chosen, q, k):
-    """q times the base-q index of each (k-2)-subset of chosen.
+def _root_tables(k):
+    """Offset tables of the empty vertex set (see _extend)."""
+    return [[0]] + [[] for _ in range(k - 2)]
 
-    With link = _bitsets of the edge grid and v a vertex, link[o + v]
-    over these o hold the vertices w that complete each (k-2)-subset of
-    chosen, plus v, to an edge.
+
+def _extend(tables, v, q):
+    """Offset tables of a vertex set plus the vertex v, from those of the set.
+
+    tables[j] holds q times the base-q index of each j-subset, j = 0..k-2,
+    so link[o + v] over the o in tables[k-2] hold the vertices that
+    complete each (k-2)-subset plus v to an edge.  A new j-subset is an
+    old (j-1)-subset s plus v, entry (s + v) * q (v * q at j = 1).  For
+    k = 2 the one table [0] is returned as it is.
     """
-    out = []
-    for sub in itertools.combinations(chosen, k - 2):
-        t = 0
-        for u in sub:
-            t = t * q + u
-        out.append(t * q)
+    if len(tables) == 1:
+        return tables
+    out = [tables[0], tables[1] + [v * q]]
+    for j in range(2, len(tables)):
+        out.append(tables[j] + [(s + v) * q for s in tables[j - 1]])
     return out
 
 
@@ -350,37 +334,44 @@ def _msubsets(Y, m, workers):
 
     A node's candidates are the vertices above its last one that extend
     it to a clique; a node at depth m - 2 adds its children's candidate
-    counts instead of visiting them.
+    counts instead of visiting them.  Each node hands its children
+    their offset tables (see _extend).
     """
     k, q = Y.k, Y.q
     link = _bitsets(Y.edge_grid())
     full = (1 << q) - 1
 
-    def rec(chosen, cands):
-        if len(chosen) + 1 == m:
+    def rec(tables, size, cands):
+        # size vertices are chosen; cands holds the vertices that extend them
+        if size + 1 == m:
             return cands.bit_count()
-        offs = _offsets(chosen, q, k)
-        leaf = len(chosen) + 2 == m
+        offs = tables[-1]
+        one = offs[0] if len(offs) == 1 else None
+        leaf = size + 2 == m
         total = 0
         while cands:
-            v = (cands & -cands).bit_length() - 1
-            cands &= cands - 1
-            nxt = cands
-            for o in offs:
-                nxt &= link[o + v]
-            total += nxt.bit_count() if leaf else rec(chosen + (v,), nxt)
+            low = cands & -cands
+            cands ^= low
+            v = low.bit_length() - 1
+            if one is None:
+                nxt = cands
+                for o in offs:
+                    nxt &= link[o + v]
+            else:
+                nxt = cands & link[one + v]
+            total += nxt.bit_count() if leaf else rec(_extend(tables, v, q), size + 1, nxt)
         return total
 
-    root = _offsets((), q, k)
+    root = _root_tables(k)
 
     def start_count(bounds):
         lo, hi = bounds
         total = 0
         for v in range(lo, hi):
             nxt = full >> (v + 1) << (v + 1)
-            for o in root:
+            for o in root[-1]:
                 nxt &= link[o + v]
-            total += rec((v,), nxt)
+            total += rec(_extend(root, v, q), 1, nxt)
         return total
 
     return sum(_run_chunks(start_count, _worker_chunks(q, workers), workers))
@@ -419,7 +410,9 @@ def omega_clique(Y, node_budget=10 ** 7):
     ranks completing the (k-1)-tuple t of ranks to an edge.  A node is
     counted against the budget, and raises the best size, where its
     parent creates it; the parent descends only into a child whose own
-    loop would take a step.
+    loop would take a step.  The parent hands that child its offset
+    tables (see _extend), so the child's own children's candidates are
+    rest & link[o + v] over the o of its last table.
     """
     import numpy as np
     k, q = Y.k, Y.q
@@ -433,30 +426,37 @@ def omega_clique(Y, node_budget=10 ** 7):
     nodes = 1  # the root
     exact = node_budget >= 1
 
-    def rec(chosen, rest):
-        # rest is nonempty and len(chosen) + popcount(rest) > best
+    def rec(tables, depth, rest, left):
+        # depth is each child's; rest is nonempty, left = popcount(rest)
+        # and depth - 1 + left > best
         nonlocal best, nodes, exact
-        offs = _offsets(chosen, q, k)
-        depth = len(chosen) + 1  # of each child
+        offs = tables[-1]
+        one = offs[0] if len(offs) == 1 else None
         while True:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            nxt = rest
-            for o in offs:
-                nxt &= link[o + v]
+            low = rest & -rest
+            rest ^= low
+            left -= 1
+            v = low.bit_length() - 1
+            if one is None:
+                nxt = rest
+                for o in offs:
+                    nxt &= link[o + v]
+            else:
+                nxt = rest & link[one + v]
             nodes += 1
             if nodes > node_budget:
                 exact = False
                 return
             if depth > best:
                 best = depth
-            if depth + nxt.bit_count() > best:
-                rec(chosen + (v,), nxt)
+            size = nxt.bit_count()
+            if depth + size > best:
+                rec(_extend(tables, v, q), depth + 1, nxt, size)
                 if not exact:
                     return
-            if depth - 1 + rest.bit_count() <= best:
+            if depth - 1 + left <= best:
                 return
 
     if exact and q > best:
-        rec((), (1 << q) - 1)
+        rec(_root_tables(k), 1, (1 << q) - 1, q)
     return best, exact

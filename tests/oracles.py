@@ -13,15 +13,21 @@ search and the tuple scan for m-subsets are verbatim apart from their
 names; the scan splits its start vertices with the package's own
 worker chunks.  The dense EPO count takes its worker chunk as
 arguments.  All three take a package HypergraphView and read its edge
-grid.
+grid.  Pattern and count_labeled_induced, a q!/(q-s)! permutation scan
+for labeled induced copies of a small pattern, left the package
+verbatim, since neither the command line nor verify called it.
 """
 
 import itertools
+from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb
 
 import numpy as np
 
-from ffhyper.hypergraph import _run_chunks, _worker_chunks
+from ffhyper.errors import ArityMismatch, BudgetExceeded
+from ffhyper.hypergraph import DEFAULT_TUPLE_BUDGET, _run_chunks, _worker_chunks
+from ffhyper.report import CountReport
 
 # Hardcoded irreducible moduli for the extension sizes the fixtures
 # need; coefficient lists are little-endian, leading coefficient 1.
@@ -332,6 +338,68 @@ def omega_clique_lists(Y, node_budget=10 ** 7):
 
     rec(tuple(), order)
     return best, exact
+
+
+class Pattern:
+    """A k-uniform pattern hypergraph on vertices 0..nverts-1."""
+
+    def __init__(self, nverts, k, edges):
+        self.nverts = nverts
+        self.k = k
+        self.edges = frozenset(frozenset(e) for e in edges)
+        for e in self.edges:
+            if len(e) != k or not all(0 <= v < nverts for v in e):
+                raise ArityMismatch("bad pattern edge %r" % (sorted(e),))
+
+    @classmethod
+    def single_edge(cls, k):
+        return cls(k, k, [range(k)])
+
+    @classmethod
+    def empty(cls, nverts, k):
+        return cls(nverts, k, [])
+
+    @classmethod
+    def complete(cls, nverts, k):
+        return cls(nverts, k, itertools.combinations(range(nverts), k))
+
+    @classmethod
+    def path3(cls):
+        """Two adjacent edges on three vertices, k = 2."""
+        return cls(3, 2, [(0, 1), (1, 2)])
+
+
+def count_labeled_induced(Y, pattern, budget=DEFAULT_TUPLE_BUDGET):
+    """Labeled induced copies: injective maps matching edges exactly.
+
+    Predicted main term q^s / 2^C(s,k) for a pattern on s vertices.
+    """
+    if pattern.k != Y.k:
+        raise ArityMismatch("pattern uniformity differs from the hypergraph")
+    s = pattern.nverts
+    q = Y.q
+    total_maps = 1
+    for i in range(s):
+        total_maps *= q - i
+    if total_maps < 0:
+        total_maps = 0
+    if total_maps > budget:
+        raise BudgetExceeded("q!/(q-s)! = %d injective maps exceed the budget" % total_maps)
+    subsets = list(itertools.combinations(range(s), Y.k))
+    want = [frozenset(sub) in pattern.edges for sub in subsets]
+    eg = Y.edge_grid()
+    observed = 0
+    for image in itertools.permutations(range(q), s):
+        ok = True
+        for sub, w in zip(subsets, want):
+            idx = tuple(image[v] for v in sub)
+            if bool(eg[idx]) != w:
+                ok = False
+                break
+        if ok:
+            observed += 1
+    predicted = Fraction(q ** s, 2 ** comb(s, Y.k))
+    return CountReport(observed, predicted)
 
 
 def main():

@@ -10,7 +10,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_every_public_name_is_its_submodule_object():
-    assert len(ffhyper.__all__) == 61 and ffhyper.__all__ == sorted(ffhyper.__all__)
+    assert len(ffhyper.__all__) == 59 and ffhyper.__all__ == sorted(ffhyper.__all__)
     for name in ffhyper.__all__:
         obj = getattr(ffhyper, name)
         assert obj.__module__.startswith("ffhyper.")
