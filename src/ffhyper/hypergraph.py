@@ -7,10 +7,12 @@ order-free.  For f = x1 + ... + xk this is the Paley graph/hypergraph.
 
 The EPO kernels work on the full evaluation grid of f (q^k handles)
 with numpy.  The m-subset count and the clique search run on link
-bitsets: bit j of link[t] says whether the (k-1)-tuple t plus j is an
-edge; each search node passes its children tables of base-q offsets
-into link.  Work is partitioned so that a worker count never changes
-the exact integer results.
+bitsets in a top-bit layout: the first vertex visited is the highest
+bit, and bit b of link[t] says whether the (k-1)-tuple of bit positions
+t plus b is an edge.  A search visits b = rest.bit_length() - 1 next and
+drops it with rest &= below[b] = (1 << b) - 1; for k >= 3 each node
+passes its children tables of base-q offsets into link.  Work is
+partitioned so that a worker count never changes the exact results.
 
 The even-partial-octahedron count runs over labeled 2k-tuples of
 distinct vertices (u_1(0), u_1(1), ..., u_k(0), u_k(1)) and asks that an
@@ -156,15 +158,22 @@ def _run_chunks(fn, chunks, workers):
         return list(ex.map(fn, chunks))
 
 
-def _fold(T, k, workers, budget, finish):
+def _fold(T, k, workers, budget, finish, distinct=False):
     """Sum of finish(lo, hi, inner) over slabs u_2(0) in [lo, hi) of the rest lattice.
 
     inner[r] = sum_x prod_eps T(x, r_eps) at r = (u_2(0), u_2(1), ..., u_k(0), u_k(1))
-    = (c0, c1, r') is sum_x A(x, c0, r') A(x, c1, r'), one Gram product per r',
+    = (c0, c1, r') is sum_x G[r', x, c0] G[r', x, c1], one Gram product per r',
     run in float32.  T lies in {-1, 0, 1}, so every partial sum of a Gram
     entry is an integer of size at most q; float32 holds each such integer
     exactly while q < 2^24, and larger fields are refused.  finish gets
-    inner as int32.  The q^(2k-1) cells (x, r) are charged to the tuple budget.
+    inner[r', c0 - lo, c1] as int32.  The q^(2k-1) cells (x, r) are charged
+    to the tuple budget.
+
+    With distinct, x runs outside r and inner is zero where r repeats an
+    entry: G is zeroed on the rows and columns in r' and on each r' that
+    repeats an entry, then each slab subtracts the x = c0 and x = c1 terms
+    d[r', c0] G[r', c0, c1] and d[r', c1] G[r', c1, c0] (d the diagonal of
+    G) and zeroes the cells c0 = c1.
     """
     if k < 2:
         raise ArityMismatch("the octahedron fold needs k >= 2")
@@ -180,11 +189,21 @@ def _fold(T, k, workers, budget, finish):
         view = _axis_view(T, 2 * k - 2, axis_map)
         A = view.astype(np.float32) if A is None else A * view
     G = np.ascontiguousarray(A.reshape(q, q, -1).transpose(2, 0, 1))  # G[r', x, c]
+    if distinct:
+        coords = np.indices((q,) * (2 * k - 4)).reshape(2 * k - 4, len(G), 1)
+        keep = (coords != np.arange(q)).all(axis=0)  # keep[r', v]: v outside r'
+        for i, j in itertools.combinations(range(2 * k - 4), 2):
+            keep &= coords[i] != coords[j]
+        G *= keep[:, :, None] & keep[:, None, :]
+        d = np.diagonal(G, axis1=1, axis2=2)  # d[r', c] = G[r', c, c]
 
     def slab(bounds):
         lo, hi = bounds
         inner = np.matmul(G[:, :, lo:hi].transpose(0, 2, 1), G)  # inner[r', c0, c1]
-        inner = inner.transpose(1, 2, 0).reshape((hi - lo,) + (q,) * (2 * k - 3))
+        if distinct:
+            inner -= d[:, lo:hi, None] * G[:, lo:hi, :]
+            inner -= d[:, None, :] * G[:, :, lo:hi].transpose(0, 2, 1)
+            inner.reshape(len(G), -1)[:, lo::q + 1] = 0
         return finish(lo, hi, inner.astype(np.int32))
 
     rows = max(1, min(SLAB_CELLS // q ** (2 * k - 3), -(-q // max(1, workers))))
@@ -192,67 +211,24 @@ def _fold(T, k, workers, budget, finish):
     return sum(_run_chunks(slab, slabs, workers))
 
 
-def _pair_factors(T, k):
-    """Per pair p of rest axes (2p, 2p + 1), the factor lists (O_p, R_2p, R_2p+1).
-
-    For r_j in pair p, the term P_r(r_j) of D_r (see count_epo_direct) is
-    O_p R_j: O_p holds the factors T(r_j, r_eps) whose eps_p picks the
-    pair's other axis, the same for both j, and R_j those that repeat r_j.
-    A factor is a view of T, or of its diagonal, on the sorted rest axes
-    its arguments land on (T is symmetric); its axis 0 has size q exactly
-    when it spans rest axis 0, the slab axis.
-    """
-    import numpy as np
-    ndim = 2 * k - 2
-
-    def view(axes):
-        distinct = sorted(set(axes))
-        return _axis_view(np.einsum(T, sorted(axes), distinct), ndim, distinct)
-
-    out = []
-    for p in range(k - 1):
-        picks = list(itertools.product(*[(2 * i, 2 * i + 1) for i in range(k - 1) if i != p]))
-        out.append([[view((2 * p + a, 2 * p + b) + pick) for pick in picks]
-                    for a, b in ((0, 1), (0, 0), (1, 1))])
-    return out
-
-
 def count_epo_direct(Y, budget=DEFAULT_TUPLE_BUDGET, workers=1):
     """Exact count of even partial octahedra, folding the u_1 pair in q^(2k-1) cells.
 
     With T the tilde character (+1 on edges), a tuple's parity sign is P_r(u_1(0)) P_r(u_1(1)),
     P_r(x) = prod_eps T(x, r_eps).  If D_r sums P_r over the n = q-2(k-1) values outside
-    r, then (n^2 + D_r^2)/2 - n pairs (u_1(0), u_1(1)) have equal sign.  A slab holds
-    (hi-lo) (q-1)!/(q-2k+2)! tuples r with distinct entries.
+    r (the distinct fold's inner), then (n^2 + D_r^2)/2 - n pairs (u_1(0), u_1(1)) have
+    equal sign.  A slab holds (hi-lo) (q-1)!/(q-2k+2)! tuples r with distinct entries.
     """
     import numpy as np
     k, q = Y.k, Y.q
-    T = Y.chi_grid("tilde")
     n = q - 2 * (k - 1)
-    ndim = 2 * k - 2
-    pairs = _pair_factors(T, k)
 
     def finish(lo, hi, inner):
-        def product(factors):
-            P = 1
-            for view in factors:
-                P = P * (view[lo:hi] if view.shape[0] == q else view)
-            return P
-
-        D = inner
-        for off, same0, same1 in pairs:  # drop the terms x = r_j
-            D = D - product(off) * (product(same0) + product(same1))
-        coords = [_axis_view(np.arange(lo, hi) if p == 0 else np.arange(q), ndim, [p])
-                  for p in range(ndim)]
-        distinct = True
-        for j in range(1, ndim):
-            for i in range(j):
-                distinct = distinct & (coords[i] != coords[j])
-        cells = (hi - lo) * perm(q - 1, ndim - 1)
-        squares = int(np.square(D * distinct, dtype=np.int64).sum())
+        cells = (hi - lo) * perm(q - 1, 2 * k - 3)
+        squares = int(np.square(inner, dtype=np.int64).sum())
         return (n * n * cells + squares) // 2 - n * cells
 
-    observed = _fold(T, k, workers, budget, finish)
+    observed = _fold(Y.chi_grid("tilde"), k, workers, budget, finish, distinct=True)
     from .report import CountReport
     return CountReport(observed, Fraction(q ** (2 * k), 2))
 
@@ -300,79 +276,81 @@ def count_epo_charsum(Y, workers=1, method="factored", budget=DEFAULT_TUPLE_BUDG
 
 
 def _bitsets(grid):
-    """Bit j of out[t] is grid[t + (j,)], t the leading axes flattened in C order."""
-    import numpy as np
-    packed = np.packbits(grid, axis=-1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little")
-            for row in packed.reshape(-1, packed.shape[-1])]
+    """Link bitsets of a symmetric grid in the top-bit layout.
 
-
-def _root_tables(k):
-    """Offset tables of the empty vertex set (see _extend)."""
-    return [[0]] + [[] for _ in range(k - 2)]
-
-
-def _extend(tables, v, q):
-    """Offset tables of a vertex set plus the vertex v, from those of the set.
-
-    tables[j] holds q times the base-q index of each j-subset, j = 0..k-2,
-    so link[o + v] over the o in tables[k-2] hold the vertices that
-    complete each (k-2)-subset plus v to an edge.  A new j-subset is an
-    old (j-1)-subset s plus v, entry (s + v) * q (v * q at j = 1).  For
-    k = 2 the one table [0] is returned as it is.
+    Vertex v is bit position q-1-v, so the first vertex visited is the
+    highest bit; out[t] holds bit b when the (k-1)-tuple of bit positions
+    t (base q, C order) plus b is an edge.  Reversing every axis reverses
+    the flat C order, so one reversed 2-d view is packed; np.packbits pads
+    with zero bits above bit q-1.
     """
-    if len(tables) == 1:
-        return tables
-    out = [tables[0], tables[1] + [v * q]]
+    import numpy as np
+    q = grid.shape[-1]
+    packed = np.packbits(grid.reshape(-1, q)[::-1, ::-1], axis=-1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _extend(tables, b, q):
+    """Offset tables of a vertex set plus the vertex at bit b; k = 2 needs none.
+
+    tables[j] holds q times the base-q index of the bit positions of each
+    j-subset (j < k-1); link[o + b] over the o in tables[k-2] hold the
+    vertices completing each (k-2)-subset plus b to an edge.  The new
+    j-subset s + b of an old (j-1)-subset s has entry (s + b) * q (b * q at j = 1).
+    """
+    out = [tables[0], tables[1] + [b * q]]
     for j in range(2, len(tables)):
-        out.append(tables[j] + [(s + v) * q for s in tables[j - 1]])
+        out.append(tables[j] + [(s + b) * q for s in tables[j - 1]])
     return out
 
 
 def _msubsets(Y, m, workers):
     """Count the m-subsets (k <= m <= q) on link bitsets, in start-vertex chunks.
 
-    A node's candidates are the vertices above its last one that extend
-    it to a clique; a node at depth m - 2 adds its children's candidate
-    counts instead of visiting them.  Each node hands its children
-    their offset tables (see _extend).
+    A node's candidates are the vertices after its last one that extend
+    it to a clique, the bits below it; a node at depth m - 2 adds its
+    children's candidate counts instead of visiting them.  Each node
+    hands its children their offset tables (see _extend).
     """
     k, q = Y.k, Y.q
     link = _bitsets(Y.edge_grid())
-    full = (1 << q) - 1
+    below = [(1 << b) - 1 for b in range(q)]  # rest &= below[b] drops bit b and above
 
     def rec(tables, size, cands):
-        # size vertices are chosen; cands holds the vertices that extend them
-        if size + 1 == m:
-            return cands.bit_count()
+        # size < m - 1 vertices are chosen; cands holds the vertices that extend them
         offs = tables[-1]
-        one = offs[0] if len(offs) == 1 else None
         leaf = size + 2 == m
         total = 0
         while cands:
-            low = cands & -cands
-            cands ^= low
-            v = low.bit_length() - 1
-            if one is None:
-                nxt = cands
-                for o in offs:
-                    nxt &= link[o + v]
-            else:
-                nxt = cands & link[one + v]
-            total += nxt.bit_count() if leaf else rec(_extend(tables, v, q), size + 1, nxt)
+            b = cands.bit_length() - 1
+            cands &= below[b]
+            nxt = cands
+            for o in offs:
+                nxt &= link[o + b]
+            total += nxt.bit_count() if leaf else rec(_extend(tables, b, q), size + 1, nxt)
         return total
 
-    root = _root_tables(k)
+    def rec2(size, cands):
+        # rec for k = 2, where the one offset is 0
+        if size + 1 == m:
+            return cands.bit_count()
+        leaf = size + 2 == m
+        total = 0
+        while cands:
+            b = cands.bit_length() - 1
+            cands &= below[b]
+            nxt = cands & link[b]
+            total += nxt.bit_count() if leaf else rec2(size + 1, nxt)
+        return total
+
+    root = [[0]] + [[] for _ in range(k - 2)]  # the empty set's tables
 
     def start_count(bounds):
         lo, hi = bounds
-        total = 0
-        for v in range(lo, hi):
-            nxt = full >> (v + 1) << (v + 1)
-            for o in root[-1]:
-                nxt &= link[o + v]
-            total += rec(_extend(root, v, q), 1, nxt)
-        return total
+        starts = range(q - 1 - lo, q - 1 - hi, -1)
+        if k == 2:
+            return sum(rec2(1, below[b] & link[b]) for b in starts)
+        return sum(rec(_extend(root, b, q), 1, below[b]) for b in starts)
 
     return sum(_run_chunks(start_count, _worker_chunks(q, workers), workers))
 
@@ -406,13 +384,14 @@ def omega_clique(Y, node_budget=10 ** 7):
     returns (omega, exact) where exact=False means the budget ran out
     and the value is only a lower bound.  Sets smaller than k are
     vacuously complete, so omega >= min(q, k-1) always.
-    Candidates are bitsets over ranks in that order; link[t] holds the
-    ranks completing the (k-1)-tuple t of ranks to an edge.  A node is
+    Candidates are bitsets in the top-bit layout of that order (see
+    _bitsets), so the next vertex is the highest bit of rest.  A node is
     counted against the budget, and raises the best size, where its
     parent creates it; the parent descends only into a child whose own
-    loop would take a step.  The parent hands that child its offset
-    tables (see _extend), so the child's own children's candidates are
-    rest & link[o + v] over the o of its last table.
+    loop would take a step, handing it its offset tables (see _extend):
+    the child's own children's candidates are rest & link[o + b] over the
+    o of its last table.  For k = 2 they are rest & link[b], in a second
+    loop that skips the tables.
     """
     import numpy as np
     k, q = Y.k, Y.q
@@ -421,28 +400,24 @@ def omega_clique(Y, node_budget=10 ** 7):
     score = sum(hits.sum(axis=tuple(j for j in range(k) if j != i)) for i in range(k))
     order = sorted(range(q), key=lambda v: (-int(score[v]), v))
     link = _bitsets(eg[np.ix_(*[order] * k)])
+    below = [(1 << b) - 1 for b in range(q)]  # rest &= below[b] drops bit b and above
 
     best = min(q, k - 1)
     nodes = 1  # the root
     exact = node_budget >= 1
 
-    def rec(tables, depth, rest, left):
-        # depth is each child's; rest is nonempty, left = popcount(rest)
-        # and depth - 1 + left > best
+    def rec(tables, depth, rest, reach):
+        # depth is each child's; rest is nonempty, and the largest set this
+        # loop can still reach, reach = depth - 1 + popcount(rest), exceeds best
         nonlocal best, nodes, exact
         offs = tables[-1]
-        one = offs[0] if len(offs) == 1 else None
         while True:
-            low = rest & -rest
-            rest ^= low
-            left -= 1
-            v = low.bit_length() - 1
-            if one is None:
-                nxt = rest
-                for o in offs:
-                    nxt &= link[o + v]
-            else:
-                nxt = rest & link[one + v]
+            b = rest.bit_length() - 1
+            rest &= below[b]
+            reach -= 1
+            nxt = rest
+            for o in offs:
+                nxt &= link[o + b]
             nodes += 1
             if nodes > node_budget:
                 exact = False
@@ -451,12 +426,37 @@ def omega_clique(Y, node_budget=10 ** 7):
                 best = depth
             size = nxt.bit_count()
             if depth + size > best:
-                rec(_extend(tables, v, q), depth + 1, nxt, size)
+                rec(_extend(tables, b, q), depth + 1, nxt, depth + size)
                 if not exact:
                     return
-            if depth - 1 + left <= best:
+            if reach <= best:
+                return
+
+    def rec2(depth, rest, reach):
+        # rec for k = 2, where the one offset is 0
+        nonlocal best, nodes, exact
+        while True:
+            b = rest.bit_length() - 1
+            rest &= below[b]
+            reach -= 1
+            nxt = rest & link[b]
+            nodes += 1
+            if nodes > node_budget:
+                exact = False
+                return
+            if depth > best:
+                best = depth
+            size = nxt.bit_count()
+            if depth + size > best:
+                rec2(depth + 1, nxt, depth + size)
+                if not exact:
+                    return
+            if reach <= best:
                 return
 
     if exact and q > best:
-        rec(_root_tables(k), 1, (1 << q) - 1, q)
+        if k == 2:
+            rec2(1, (1 << q) - 1, q)
+        else:
+            rec([[0]] + [[] for _ in range(k - 2)], 1, (1 << q) - 1, q)
     return best, exact

@@ -279,9 +279,10 @@ def test_m_subsets_worker_independence():
 
 
 @settings(PROPERTY, max_examples=40)
-@given(kq=st.sampled_from([(2, q) for q in (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31)]
-                          + [(3, q) for q in (3, 5, 7, 9, 11, 13)] + [(4, q) for q in (3, 5, 7)]
-                          + [(5, q) for q in (5, 7)]),
+@given(kq=st.sampled_from([(2, q) for q in (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31,
+                                             61, 67, 101)]
+                          + [(3, q) for q in (3, 5, 7, 9, 11, 13, 17)]
+                          + [(4, q) for q in (3, 5, 7)] + [(5, q) for q in (5, 7)]),
        d=DEGREES, seed=SEEDS, extra=st.integers(0, 2), workers=st.integers(1, 3))
 def test_m_subsets_bitsets_match_the_tuple_search(kq, d, seed, extra, workers):
     k, q = kq
@@ -359,8 +360,9 @@ def test_omega_triples():
 
 
 @settings(PROPERTY, max_examples=40)
-@given(kq=st.sampled_from([(2, q) for q in (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31)]
-                          + [(3, q) for q in (3, 5, 7, 9, 11)] + [(4, q) for q in (5, 7)]),
+@given(kq=st.sampled_from([(2, q) for q in (3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29, 31,
+                                             61, 67, 101)]
+                          + [(3, q) for q in (3, 5, 7, 9, 11, 13, 17)] + [(4, q) for q in (5, 7)]),
        d=DEGREES, seed=SEEDS, budget=st.one_of(st.integers(1, 64), st.none()))
 def test_omega_bitsets_match_the_list_search(kq, d, seed, budget):
     # same (omega, exact) for every node budget, the binding ones included
